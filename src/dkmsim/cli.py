@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +53,9 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     scenario, trace_path = _load_scenario(args.scenario)
-    config = scenario.config
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.max_rounds is not None:
-        config.max_rounds = args.max_rounds
-    if args.snapshot_cadence is not None:
-        config.snapshot_every = args.snapshot_cadence
+    overrides = {"seed": args.seed, "max_rounds": args.max_rounds, "snapshot_every": args.snapshot_cadence}
+    # replace() reruns RunConfig's validation on the overridden values
+    config = replace(scenario.config, **{k: v for k, v in overrides.items() if v is not None})
     if args.output is not None:
         trace_path = args.output
 
@@ -139,7 +136,10 @@ def cmd_compare(args) -> int:
         snap_file = snapshot_path_for(args.trace)
         if snap_file.exists():
             snaps = read_snapshots(snap_file)
-            k_last = max(snaps)
+            k_last = max(snaps, default=None)
+            if k_last != last.k:
+                print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
+                return EXIT_PARSE
             final_dist = float(np.linalg.norm(snaps[k_last] - reference, axis=1).max())
             print(f"distance recomputed from snapshot at k={k_last}")
         elif final_dist is None:

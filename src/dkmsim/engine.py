@@ -161,6 +161,8 @@ class RunConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_rounds < 1:
             raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.mode != "centralized":
             if self.schedule is None:
                 raise ParameterError(f"mode {self.mode!r} needs a graph schedule")

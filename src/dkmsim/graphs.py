@@ -47,57 +47,28 @@ def check_doubly_stochastic(A, tol: float = STOCHASTIC_TOL) -> ValidationReport:
 def strongly_connected(adjacency: NDArray[np.bool_]) -> bool:
     """True iff the boolean digraph has a single strongly connected component.
 
-    Iterative Tarjan; adjacency[i, j] means an edge i -> j. Self-loops are
-    irrelevant to the verdict.
+    adjacency[i, j] means an edge i -> j. Self-loops are irrelevant to the
+    verdict. Every node must be reachable from node 0 both along the edges
+    and against them.
     """
     n = adjacency.shape[0]
-    if n == 1:
-        return True
-    succ = [np.nonzero(adjacency[i])[0] for i in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components = 0
+    tails, heads = (ends.tolist() for ends in np.nonzero(adjacency))
+    return _reaches_all(n, tails, heads) and _reaches_all(n, heads, tails)
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # explicit DFS stack of (node, iterator position)
-        work = [(root, 0)]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, pos = work[-1]
-            if pos < len(succ[v]):
-                work[-1] = (v, pos + 1)
-                w = int(succ[v][pos])
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    components += 1
-                    if components > 1:
-                        return False
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        if w == v:
-                            break
-    return components == 1
+
+def _reaches_all(n: int, tails: list[int], heads: list[int]) -> bool:
+    """Whether a depth-first search from node 0 along tail -> head edges visits all n nodes."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for t, h in zip(tails, heads):
+        succ[t].append(h)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 class GraphSchedule:

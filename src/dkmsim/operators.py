@@ -9,11 +9,15 @@ Operators expose both full evaluation and per-block evaluation against a
 shared BlockPartition, plus a displacement form F(x) - x computed without
 cancellation where the kind allows it (gradient steps, affine maps). The
 iteration engine works exclusively with displacements.
+
+Each kind's arithmetic is written once, over a stack of agents: a family
+evaluates one stacked group per kind, a single operator a one-member stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -175,26 +179,162 @@ SmoothObjective = Quadratic | Huber
 
 
 # ---------------------------------------------------------------------------
+# operator kinds, stacked over groups of agents
+
+
+class _Stack:
+    """One operator kind over G agents, parameters stacked on axis 0.
+
+    Methods map (G, n) states, row g for member g, to (G, n) or, for a
+    block, (G, block width). A kind overrides evaluate or displacement, and
+    the block form where slicing first is cheaper.
+    """
+
+    def __init__(self, ops: list["LocalOperator"]):
+        pass
+
+    def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
+        return states + self.displacement(states)
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        return self.evaluate(states) - states
+
+    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
+        return self.displacement(states)[:, sl]
+
+
+class _IdentityStack(_Stack):
+    def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
+        return states.copy()
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        return np.zeros_like(states)
+
+
+class _BoxStack(_Stack):
+    def __init__(self, ops):
+        self.lower = np.stack([op.target_set.lower for op in ops])
+        self.upper = np.stack([op.target_set.upper for op in ops])
+
+    def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
+        # ndarray.clip is what np.clip calls, minus the wrapper's per-call overhead
+        return states.clip(self.lower, self.upper)
+
+    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
+        # clamp only needs the block's own coordinates
+        sub = states[:, sl]
+        return sub.clip(self.lower[:, sl], self.upper[:, sl]) - sub
+
+
+class _BallStack(_Stack):
+    def __init__(self, ops):
+        self.center = np.stack([op.target_set.center for op in ops])
+        self.radius = np.array([op.target_set.radius for op in ops])
+
+    def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
+        # the scaling factor depends on the whole vector, so blocks slice the full
+        # result. A row @ column matmul is the dot product np.linalg.norm takes of
+        # a single point; norm(d, axis=1) sums in another order and moves the last ulp.
+        d = states - self.center
+        nrm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        out = states.copy()
+        far = nrm > self.radius
+        out[far] = self.center[far] + (self.radius[far] / nrm[far])[:, None] * d[far]
+        return out
+
+
+class _QuadraticStepStack(_Stack):
+    def __init__(self, ops):
+        self.matrix = np.stack([op.objective.matrix for op in ops])
+        self.matrix_t = self.matrix.transpose(0, 2, 1)
+        self.target = np.stack([op.objective.target for op in ops])[:, :, None]
+        self.neg_tau = -np.array([op.tau for op in ops])[:, None]
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        # (-tau) * A^T (A x - b), never F(x) - x, so no cancellation. Stacked
+        # matmul runs the same matrix-vector product per agent as a 2-D A @ x;
+        # einsum sums in another order and moves the last ulp.
+        resid = np.matmul(self.matrix, states[:, :, None]) - self.target
+        return self.neg_tau * np.matmul(self.matrix_t, resid)[:, :, 0]
+
+
+class _HuberStepStack(_Stack):
+    def __init__(self, ops):
+        self.target = np.stack([op.objective.target for op in ops])
+        self.delta = np.array([op.objective.delta for op in ops])[:, None]
+        self.neg_tau = -np.array([op.tau for op in ops])[:, None]
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        return self.neg_tau * (states - self.target).clip(-self.delta, self.delta)
+
+
+class _AffineStack(_Stack):
+    def __init__(self, ops):
+        self.matrix = np.stack([op.matrix for op in ops])
+        self.offset = np.stack([op.offset for op in ops])
+        self.theta = np.array([op.theta for op in ops])[:, None]
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        # theta * (r - R x), algebraically F(x) - x without the cancellation
+        return self.theta * (self.offset - np.einsum("ijk,ik->ij", self.matrix, states))
+
+    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
+        rows = np.einsum("ijk,ik->ij", self.matrix[:, sl, :], states)
+        return self.theta * (self.offset[:, sl] - rows)
+
+
+class _MixedStack(_Stack):
+    """Several groups: each gets its members' rows, results return in agent order."""
+
+    def __init__(self, groups: list[tuple[NDArray[np.intp], _Stack]]):
+        self.groups = groups
+
+    def _scatter(self, states: NDArray[Float], apply) -> NDArray[Float]:
+        parts = [(rows, apply(group, states[rows])) for rows, group in self.groups]
+        out = np.empty((states.shape[0], parts[0][1].shape[1]))
+        for rows, part in parts:
+            out[rows] = part
+        return out
+
+    def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
+        return self._scatter(states, lambda group, x: group.evaluate(x))
+
+    def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
+        return self._scatter(states, lambda group, x: group.displacement(x))
+
+    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
+        return self._scatter(states, lambda group, x: group.displacement_block(sl, x))
+
+
+# ---------------------------------------------------------------------------
 # local operators
 
 
 class LocalOperator:
-    """One agent's map F_i on R^n with a shared block partition."""
+    """One agent's map F_i on R^n with a shared block partition.
 
-    kind = "abstract"
+    The arithmetic lives in the stacked kinds above; the per-agent methods
+    validate x and evaluate it as a one-member stack. Members with equal
+    stack_key stack into one group; stack_key[0] is the kind.
+    """
+
+    stack_key: tuple
 
     def __init__(self, partition: BlockPartition):
         self.partition = partition
         self.n = partition.n
 
+    @cached_property
+    def _stack(self) -> _Stack:
+        return self.stack_key[0]([self])
+
     def evaluate(self, x) -> NDArray[Float]:
         """F_i(x). Validates that x is a finite point of length n."""
-        raise NotImplementedError
+        return self._stack.evaluate(as_point(x, self.n)[None])[0]
 
     def displacement(self, x) -> NDArray[Float]:
         """F_i(x) - x, the quantity the iteration engine consumes."""
-        x = as_point(x, self.n)
-        return self.evaluate(x) - x
+        return self._stack.displacement(as_point(x, self.n)[None])[0]
 
     def evaluate_block(self, l: int, x) -> NDArray[Float]:
         """Block l of F_i(x); agrees bitwise with slicing evaluate(x)."""
@@ -210,22 +350,7 @@ class LocalOperator:
 class Identity(LocalOperator):
     """F(x) = x. Fixed-point residuals are identically zero."""
 
-    kind = "identity"
-
-    def evaluate(self, x) -> NDArray[Float]:
-        return as_point(x, self.n).copy()
-
-    def displacement(self, x) -> NDArray[Float]:
-        as_point(x, self.n)
-        return np.zeros(self.n)
-
-    def evaluate_block(self, l: int, x) -> NDArray[Float]:
-        return as_point(x, self.n)[self.partition.block_slice(l)].copy()
-
-    def displacement_block(self, l: int, x) -> NDArray[Float]:
-        as_point(x, self.n)
-        sl = self.partition.block_slice(l)
-        return np.zeros(sl.stop - sl.start)
+    stack_key = (_IdentityStack,)
 
 
 class Projection(LocalOperator):
@@ -235,8 +360,6 @@ class Projection(LocalOperator):
     nonexpansive as well.
     """
 
-    kind = "projection"
-
     def __init__(self, partition: BlockPartition, target_set: ConvexSet):
         super().__init__(partition)
         if target_set.n != partition.n:
@@ -244,28 +367,7 @@ class Projection(LocalOperator):
                 f"set lives in R^{target_set.n} but partition covers {partition.n} coordinates"
             )
         self.target_set = target_set
-
-    def evaluate(self, x) -> NDArray[Float]:
-        return self.target_set.project(as_point(x, self.n))
-
-    def evaluate_block(self, l: int, x) -> NDArray[Float]:
-        x = as_point(x, self.n)
-        sl = self.partition.block_slice(l)
-        s = self.target_set
-        if isinstance(s, Box):
-            # clamp only needs the block's own coordinates
-            return np.clip(x[sl], s.lower[sl], s.upper[sl])
-        # ball scaling factor depends on the whole vector
-        d = x - s.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= s.radius:
-            return x[sl].copy()
-        return s.center[sl] + (s.radius / nrm) * d[sl]
-
-    def displacement_block(self, l: int, x) -> NDArray[Float]:
-        x = as_point(x, self.n)
-        sl = self.partition.block_slice(l)
-        return self.evaluate_block(l, x) - x[sl]
+        self.stack_key = (_BoxStack if isinstance(target_set, Box) else _BallStack,)
 
 
 class GradientStep(LocalOperator):
@@ -274,8 +376,6 @@ class GradientStep(LocalOperator):
     Nonexpansive iff 0 < tau < 2 / L where L bounds the gradient's
     Lipschitz constant; the constructor enforces the strict bound.
     """
-
-    kind = "gradient_step"
 
     def __init__(self, partition: BlockPartition, objective: SmoothObjective, tau: float):
         super().__init__(partition)
@@ -291,21 +391,8 @@ class GradientStep(LocalOperator):
             )
         self.objective = objective
         self.tau = tau
-
-    def evaluate(self, x) -> NDArray[Float]:
-        x = as_point(x, self.n)
-        return x + self.displacement(x)
-
-    def displacement(self, x) -> NDArray[Float]:
-        # computed as (-tau) * grad, never as F(x) - x, so no cancellation
-        x = as_point(x, self.n)
-        return -self.tau * self.objective.gradient(x)
-
-    def evaluate_block(self, l: int, x) -> NDArray[Float]:
-        return self.evaluate(x)[self.partition.block_slice(l)]
-
-    def displacement_block(self, l: int, x) -> NDArray[Float]:
-        return self.displacement(x)[self.partition.block_slice(l)]
+        quadratic = isinstance(objective, Quadratic)
+        self.stack_key = (_QuadraticStepStack, objective.matrix.shape) if quadratic else (_HuberStepStack,)
 
 
 class Affine(LocalOperator):
@@ -316,7 +403,7 @@ class Affine(LocalOperator):
     deliberately invalid instance for exercising the sampled checker.
     """
 
-    kind = "affine"
+    stack_key = (_AffineStack,)
 
     def __init__(
         self,
@@ -356,21 +443,6 @@ class Affine(LocalOperator):
         self.offset = r
         self.theta = theta
 
-    def evaluate(self, x) -> NDArray[Float]:
-        x = as_point(x, self.n)
-        return x + self.displacement(x)
-
-    def displacement(self, x) -> NDArray[Float]:
-        # theta * (r - R x), algebraically F(x) - x without the cancellation
-        x = as_point(x, self.n)
-        return self.theta * (self.offset - self.matrix @ x)
-
-    def evaluate_block(self, l: int, x) -> NDArray[Float]:
-        return self.evaluate(x)[self.partition.block_slice(l)]
-
-    def displacement_block(self, l: int, x) -> NDArray[Float]:
-        return self.displacement(x)[self.partition.block_slice(l)]
-
 
 # ---------------------------------------------------------------------------
 # operator family
@@ -379,8 +451,10 @@ class Affine(LocalOperator):
 class OperatorFamily:
     """The N local operators of one problem, sharing a partition.
 
-    displacement_bound_B, when set, is an empirical bound on
-    max_i ||F_i(x) - x|| over the sampled region (see
+    Members are grouped by kind and parameter shape; groups holds
+    (agent indices, stacked kind) pairs, and each group evaluates all its
+    agents in one call. displacement_bound_B, when set, is an empirical
+    bound on max_i ||F_i(x) - x|| over the sampled region (see
     estimate_displacement_bound).
     """
 
@@ -398,78 +472,26 @@ class OperatorFamily:
         self.n = part.n
         self.n_agents = len(operators)
         self.displacement_bound_B = displacement_bound_B
-        self._batch = self._build_batch()
+        members: dict[tuple, list[int]] = {}
+        for i, op in enumerate(operators):
+            members.setdefault(op.stack_key, []).append(i)
+        self.groups = [(np.array(rows), key[0]([operators[i] for i in rows])) for key, rows in members.items()]
+        # a one-group family hands the whole state matrix to its group, with no scatter
+        self._stack = self.groups[0][1] if len(self.groups) == 1 else _MixedStack(self.groups)
 
-    def _build_batch(self):
-        """Stacked parameters for homogeneous families the engine can vectorize."""
-        ops = self.operators
-        if all(isinstance(op, Projection) and isinstance(op.target_set, Box) for op in ops):
-            lower = np.stack([op.target_set.lower for op in ops])
-            upper = np.stack([op.target_set.upper for op in ops])
-            return ("box", lower, upper)
-        if all(isinstance(op, Affine) for op in ops):
-            mats = np.stack([op.matrix for op in ops])
-            offs = np.stack([op.offset for op in ops])
-            thetas = np.array([op.theta for op in ops])[:, None]
-            return ("affine", mats, offs, thetas)
-        if all(isinstance(op, Identity) for op in ops):
-            return ("identity",)
-        return None
-
-    # -- batched displacement paths (engine hot loop; shapes validated by caller)
+    # -- stacked paths (engine hot loop; shapes validated by caller)
 
     def displacement_all(self, states: NDArray[Float]) -> NDArray[Float]:
         """Row i is F_i(states[i]) - states[i]. states is (N, n)."""
-        if self._batch is not None:
-            tag = self._batch[0]
-            if tag == "box":
-                _, lower, upper = self._batch
-                return np.clip(states, lower, upper) - states
-            if tag == "affine":
-                _, mats, offs, thetas = self._batch
-                return thetas * (offs - np.einsum("ijk,ik->ij", mats, states))
-            if tag == "identity":
-                return np.zeros_like(states)
-        out = np.empty_like(states)
-        for i, op in enumerate(self.operators):
-            out[i] = op.displacement(states[i])
-        return out
+        return self._stack.displacement(states)
 
     def displacement_block_all(self, l: int, states: NDArray[Float]) -> NDArray[Float]:
         """Block l of each agent's displacement; (N, dims[l])."""
-        sl = self.partition.block_slice(l)
-        if self._batch is not None:
-            tag = self._batch[0]
-            if tag == "box":
-                _, lower, upper = self._batch
-                sub = states[:, sl]
-                return np.clip(sub, lower[:, sl], upper[:, sl]) - sub
-            if tag == "affine":
-                _, mats, offs, thetas = self._batch
-                rows = np.einsum("ijk,ik->ij", mats[:, sl, :], states)
-                return thetas * (offs[:, sl] - rows)
-            if tag == "identity":
-                return np.zeros((states.shape[0], sl.stop - sl.start))
-        out = np.empty((states.shape[0], sl.stop - sl.start))
-        for i, op in enumerate(self.operators):
-            out[i] = op.displacement_block(l, states[i])
-        return out
+        return self._stack.displacement_block(self.partition.block_slice(l), states)
 
     def evaluate_all(self, states: NDArray[Float]) -> NDArray[Float]:
-        """Row i is F_i(states[i]), via each kind's native arithmetic."""
-        if self._batch is not None:
-            tag = self._batch[0]
-            if tag == "box":
-                _, lower, upper = self._batch
-                return np.clip(states, lower, upper)
-            if tag == "identity":
-                return states.copy()
-        if self._batch is None:
-            out = np.empty_like(states)
-            for i, op in enumerate(self.operators):
-                out[i] = op.evaluate(states[i])
-            return out
-        return states + self.displacement_all(states)
+        """Row i is F_i(states[i])."""
+        return self._stack.evaluate(states)
 
     # -- global operator F = (1/N) sum_i F_i
 

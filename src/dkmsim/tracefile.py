@@ -33,7 +33,12 @@ def snapshot_path_for(trace_path) -> Path:
 
 
 def write_trace(trace: Trace, path, snapshot_path=None) -> None:
-    """Write the trace; snapshots, if any were recorded, go to a companion file."""
+    """Write the trace; snapshots, if any were recorded, go to a companion file.
+
+    Without snapshots, a companion left at that path by an earlier run is removed.
+    """
+    if snapshot_path is None:
+        snapshot_path = snapshot_path_for(path)
     lines = [
         "# dkmsim-trace v1",
         f"# mode={trace.mode}",
@@ -65,17 +70,17 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
     snapshots = [rec for rec in trace.records if rec.snapshot is not None]
-    if snapshots:
-        if snapshot_path is None:
-            snapshot_path = snapshot_path_for(path)
-        snap_lines = [SNAPSHOT_HEADER]
-        for rec in snapshots:
-            for agent in range(rec.snapshot.shape[0]):
-                for coord in range(rec.snapshot.shape[1]):
-                    snap_lines.append(
-                        f"{rec.k},{agent},{coord},{format(rec.snapshot[agent, coord], '.17g')}"
-                    )
-        Path(snapshot_path).write_text("\n".join(snap_lines) + "\n")
+    if not snapshots:
+        Path(snapshot_path).unlink(missing_ok=True)
+        return
+    snap_lines = [SNAPSHOT_HEADER]
+    for rec in snapshots:
+        for agent in range(rec.snapshot.shape[0]):
+            for coord in range(rec.snapshot.shape[1]):
+                snap_lines.append(
+                    f"{rec.k},{agent},{coord},{format(rec.snapshot[agent, coord], '.17g')}"
+                )
+    Path(snapshot_path).write_text("\n".join(snap_lines) + "\n")
 
 
 @dataclass

@@ -119,6 +119,42 @@ def test_run_overrides(capsys, config_file, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (("--max-rounds", "0"), "max_rounds must be >= 1, got 0"),
+        (("--max-rounds", "-5"), "max_rounds must be >= 1, got -5"),
+        (("--snapshot-cadence", "0"), "snapshot_every must be >= 1, got 0"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ],
+)
+def test_run_validates_overrides(capsys, tmp_path, override, message):
+    out_path = tmp_path / "t.csv"
+    code, _, err = cli(capsys, "run", "paper-dkm-6", *override, "--output", str(out_path))
+    assert code == EXIT_VALIDATION
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out_path.exists()
+
+
+def test_rerun_without_snapshots_leaves_no_stale_companion(capsys, config_file, tmp_path):
+    trace = tmp_path / "t.csv"
+    companion = tmp_path / "t.snapshots.csv"
+    assert cli(capsys, "run", str(config_file), "--max-rounds", "200", "--snapshot-cadence", "50")[0] == EXIT_OK
+    stale = companion.read_bytes()
+    assert cli(capsys, "run", str(config_file), "--max-rounds", "10")[0] == EXIT_OK
+    assert not companion.exists()
+    code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
+    assert code == EXIT_OK
+    assert "final round: 10" in out
+    assert "snapshot" not in out
+
+    # a companion that does not end where the trace does is refused
+    companion.write_bytes(stale)
+    code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
+    assert code == EXIT_PARSE
+    assert out.splitlines() == [f"snapshot file {companion} does not end at the trace's final round k=10"]
+
+
 def test_run_refuses_invalid_assumptions(capsys, tmp_path):
     doc = base_doc(tmp_path / "t.csv")
     doc["stepsize"]["gamma"] = 0.4

@@ -387,6 +387,108 @@ def test_mixed_family_uses_member_loop():
     assert np.array_equal(disp[0], np.zeros(2))
     assert np.allclose(disp[1], [-2.4, -3.2])
 
+    # every kind, quadratics with two row counts, members interleaved: each
+    # row of the grouped result is its member's own one-operator evaluation
+    part = BlockPartition((2, 1))
+    rng = np.random.default_rng(31)
+    quad3 = Quadratic(rng.standard_normal((3, 3)), rng.standard_normal(3))
+    quad2 = Quadratic(rng.standard_normal((2, 3)), rng.standard_normal(2))
+    ops = [
+        GradientStep(part, quad3, tau=1.0 / quad3.lipschitz_L),
+        Identity(part),
+        Projection(part, Box(-np.ones(3), np.ones(3))),
+        GradientStep(part, quad2, tau=1.0 / quad2.lipschitz_L),
+        Projection(part, Ball(np.zeros(3), 1.0)),
+        GradientStep(part, Huber(np.ones(3), 0.5), tau=1.0),
+        Affine(part, 2.0 * np.eye(3), np.ones(3), theta=0.5),
+        GradientStep(part, quad3, tau=0.5 / quad3.lipschitz_L),
+        Projection(part, Box(np.zeros(3), np.ones(3))),
+    ]
+    family = OperatorFamily(ops)
+    assert len(family.groups) == 7
+    states = rng.uniform(-5, 5, (len(ops), 3))
+    disp = family.displacement_all(states)
+    evals = family.evaluate_all(states)
+    blocks = [family.displacement_block_all(l, states) for l in range(part.m)]
+    for i, op in enumerate(ops):
+        assert np.array_equal(disp[i], op.displacement(states[i]))
+        assert np.array_equal(evals[i], op.evaluate(states[i]))
+        for l in range(part.m):
+            assert np.array_equal(blocks[l][i], op.displacement_block(l, states[i]))
+
+
+# ---------------------------------------------------------------------------
+# stacked kinds against their formulas, written out for one point
+
+
+def stacked_kind_cases():
+    """Per kind: three members and the kind's (displacement, evaluation) at one point."""
+    part = BlockPartition((2, 1, 2))
+    n = part.n
+    rng = np.random.default_rng(37)
+    boxes, balls, quads, hubers, affines = [], [], [], [], []
+    for _ in range(3):
+        lo = rng.uniform(-3, 0, n)
+        boxes.append(Projection(part, Box(lo, lo + rng.uniform(0.5, 2.0, n))))
+        balls.append(Projection(part, Ball(rng.standard_normal(n), rng.uniform(0.5, 4.0))))
+        quad = Quadratic(rng.standard_normal((n + 1, n)), rng.standard_normal(n + 1))
+        quads.append(GradientStep(part, quad, tau=1.0 / quad.lipschitz_L))
+        hubers.append(GradientStep(part, Huber(rng.standard_normal(n), rng.uniform(0.5, 2.0)), tau=1.0))
+        G = rng.standard_normal((n, n))
+        R = G.T @ G + 0.1 * np.eye(n)
+        affines.append(Affine(part, R, rng.standard_normal(n), theta=2.0 / float(np.linalg.eigvalsh(R)[-1])))
+
+    def project_ball(op, x):
+        # scalar norm; the stacked kind takes the same dot product per row, so
+        # this is exact, where np.linalg.norm(d, axis=1) is off by up to 2 ulps
+        c, r = op.target_set.center, op.target_set.radius
+        nrm = np.linalg.norm(x - c)
+        return x.copy() if nrm <= r else c + (r / nrm) * (x - c)
+
+    def quad_step(op, x):
+        A, b = op.objective.matrix, op.objective.target
+        return -op.tau * (A.T @ (A @ x - b))
+
+    def huber_step(op, x):
+        f = op.objective
+        return -op.tau * np.clip(x - f.target, -f.delta, f.delta)
+
+    def affine_step(op, x):
+        # the family's einsum; a matrix-vector R @ x can differ in the last ulp
+        return op.theta * (op.offset - np.einsum("jk,k->j", op.matrix, x))
+
+    def clip_box(op, x):
+        return np.clip(x, op.target_set.lower, op.target_set.upper)
+
+    return part, {
+        "identity": ([Identity(part) for _ in range(3)], lambda op, x: np.zeros(n), lambda op, x: x),
+        "box": (boxes, lambda op, x: clip_box(op, x) - x, clip_box),
+        "ball": (balls, lambda op, x: project_ball(op, x) - x, project_ball),
+        "quadratic": (quads, quad_step, lambda op, x: x + quad_step(op, x)),
+        "huber": (hubers, huber_step, lambda op, x: x + huber_step(op, x)),
+        "affine": (affines, affine_step, lambda op, x: x + affine_step(op, x)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["identity", "box", "ball", "quadratic", "huber", "affine"])
+def test_stacked_kind_matches_formula(kind):
+    part, cases = stacked_kind_cases()
+    ops, displacement, evaluation = cases[kind]
+    family = OperatorFamily(ops)
+    assert len(family.groups) == 1
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        states = rng.uniform(-5, 5, (len(ops), part.n))
+        disp = family.displacement_all(states)
+        evals = family.evaluate_all(states)
+        blocks = [family.displacement_block_all(l, states) for l in range(part.m)]
+        for i, op in enumerate(ops):
+            x = states[i]
+            assert np.array_equal(disp[i], displacement(op, x))
+            assert np.array_equal(evals[i], evaluation(op, x))
+            for l in range(part.m):
+                assert np.array_equal(blocks[l][i], displacement(op, x)[part.block_slice(l)])
+
 
 # ---------------------------------------------------------------------------
 # displacement bounds
