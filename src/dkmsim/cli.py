@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +53,9 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     scenario, trace_path = _load_scenario(args.scenario)
     overrides = {"seed": args.seed, "max_rounds": args.max_rounds, "snapshot_every": args.snapshot_cadence}
-    # replace() reruns RunConfig's validation on the overridden values
-    config = replace(scenario.config, **{k: v for k, v in overrides.items() if v is not None})
+    # revalidates the overridden values and recomputes a seed-dependent reference
+    scenario = scenario.with_run(**{k: v for k, v in overrides.items() if v is not None})
+    config = scenario.config
     if args.output is not None:
         trace_path = args.output
 
@@ -140,6 +140,11 @@ def cmd_compare(args) -> int:
             if k_last != last.k:
                 print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
                 return EXIT_PARSE
+            n = snaps[k_last].shape[1]
+            if reference.shape != (n,):
+                raise ConfigError(
+                    f"reference has shape {reference.shape}, snapshots in {snap_file} have {n} coordinates"
+                )
             final_dist = float(np.linalg.norm(snaps[k_last] - reference, axis=1).max())
             print(f"distance recomputed from snapshot at k={k_last}")
         elif final_dist is None:

@@ -8,11 +8,13 @@ loads back to an equivalent scenario.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import yaml
 
-from .blocks import BlockPartition, as_point, as_states
-from .engine import BlockSelector, RunConfig, UniformInit
+from .blocks import as_point, as_states
+from .engine import MODES, BlockSelector, UniformInit
 from .errors import ConfigError, DkmsimError
 from .graphs import GraphSchedule, ring_schedule
 from .operators import Affine, Ball, Box, GradientStep, Huber, Identity, Projection, Quadratic
@@ -240,8 +242,8 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
         "run",
     )
     mode = _as_str(run_sec.get("mode", "dkm"), "run.mode")
-    if mode not in ("dkm", "dbkm", "centralized"):
-        raise ConfigError(f"unknown mode {mode!r}; expected dkm, dbkm, or centralized", "run.mode")
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}", "run.mode")
     block_dims = None
     if "blocks" in run_sec:
         blocks = run_sec["blocks"]
@@ -263,6 +265,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     explicit_reference = run_sec.get("reference")
 
     run_kwargs = dict(
+        name=name,
         max_rounds=_as_int(run_sec["max_rounds"], "run.max_rounds"),
         seed=_as_int(run_sec.get("seed", 0), "run.seed"),
         init=_load_init(run_sec.get("init"), "run.init"),
@@ -291,7 +294,10 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
         "problem",
     )
     kind = _as_str(problem["kind"], "problem.kind")
-    compute_reference = explicit_reference is None
+    if kind != "consensus":
+        run_kwargs.update(
+            mode=mode, block_dims=block_dims, selector=selector, compute_reference=explicit_reference is None
+        )
 
     try:
         if kind == "distance":
@@ -302,17 +308,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 sets = staircase_boxes(_as_int(problem["staircase_agents"], "problem.staircase_agents"))
             else:
                 sets = _load_sets(problem["sets"], "problem.sets")
-            scenario = build_distance_scenario(
-                sets,
-                schedule,
-                stepsize,
-                mode=mode,
-                block_dims=block_dims,
-                selector=selector,
-                name=name,
-                compute_reference=compute_reference,
-                **run_kwargs,
-            )
+            scenario = build_distance_scenario(sets, schedule, stepsize, **run_kwargs)
         elif kind == "dgd":
             _check_keys(problem, {"kind", "tau", "objectives"}, {"kind", "tau", "objectives"}, "problem")
             scenario = build_dgd_scenario(
@@ -320,11 +316,6 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 _as_float(problem["tau"], "problem.tau"),
                 schedule,
                 stepsize,
-                mode=mode,
-                block_dims=block_dims,
-                selector=selector,
-                name=name,
-                compute_reference=compute_reference,
                 **run_kwargs,
             )
         elif kind == "linear":
@@ -342,11 +333,6 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 schedule,
                 stepsize,
                 theta=None if theta is None else _as_float(theta, "problem.theta"),
-                mode=mode,
-                block_dims=block_dims,
-                selector=selector,
-                name=name,
-                compute_reference=compute_reference,
                 **run_kwargs,
             )
         elif kind == "consensus":
@@ -358,7 +344,6 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 _as_int(problem["dimension"], "problem.dimension"),
                 schedule,
                 stepsize,
-                name=name,
                 **run_kwargs,
             )
         else:
@@ -375,9 +360,8 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 f"reference has {ref.shape[0]} coordinates, problem has {scenario.config.family.n}",
                 "run.reference",
             )
-        scenario.reference = ref
-        scenario.config.reference = ref
-        scenario.reference_source = "config file"
+        # a plain Scenario: the file's reference stays put under later run overrides
+        scenario = Scenario(scenario.name, replace(scenario.config, reference=ref), "config file")
 
     if "output" in doc:
         _check_keys(doc["output"], {"trace"}, set(), "output")
@@ -443,7 +427,7 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
         raise ConfigError("family mixes operator kinds; cannot serialize")
 
     schedule = config.schedule
-    ring = getattr(schedule, "ring_params", None)
+    ring = schedule.ring_params
     if ring is not None:
         graph = {"ring": {"agents": ring[0], "period": ring[1], "weight": float(ring[2])}}
     else:

@@ -133,10 +133,19 @@ class UniformInit:
             raise ParameterError(f"need low < high and finite, got [{self.low}, {self.high}]")
 
 
-@dataclass
-class RunConfig:
-    """Everything one simulation needs; validated on construction.
+def _read_only(arr: NDArray[Float]) -> NDArray[Float]:
+    """A private read-only copy, so a frozen config's arrays cannot change either."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one simulation needs; validated on construction, immutable after.
+
+    Change a run with dataclasses.replace, which validates the new values;
+    explicit init and reference arrays are held as read-only copies.
     init is either a UniformInit or an explicit (N, n) array. reference, when
     given, fills the trace's dist_to_ref column. record_every = None selects
     the default cadence: every round below 1000, then every ceil(k/1000)-th
@@ -178,9 +187,9 @@ class RunConfig:
                     f"selector has {self.selector.num_blocks} blocks, partition has {self.family.partition.m}"
                 )
         if not isinstance(self.init, UniformInit):
-            self.init = as_states(self.init, self.family.n_agents, self.family.n).copy()
+            object.__setattr__(self, "init", _read_only(as_states(self.init, self.family.n_agents, self.family.n)))
         if self.reference is not None:
-            self.reference = as_point(self.reference, self.family.n)
+            object.__setattr__(self, "reference", _read_only(as_point(self.reference, self.family.n)))
         if self.record_every is not None and self.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {self.record_every}")
         if self.snapshot_every is not None and self.snapshot_every < 1:

@@ -76,8 +76,11 @@ class GraphSchedule:
 
     matrices[k % period] is the graph used in round k. weight_floor is the
     strict lower bound every positive weight and every diagonal entry must
-    clear (checked by check_weight_floor, not enforced here).
+    clear (checked by check_weight_floor, not enforced here). ring_params is
+    (N, P, w) for a ring_schedule, which lets configs serialize the compact form.
     """
+
+    ring_params: tuple[int, int, float] | None = None
 
     def __init__(self, matrices: list, Q: int, weight_floor: float):
         if len(matrices) == 0:
@@ -115,6 +118,12 @@ class GraphSchedule:
             and self.weight_floor == other.weight_floor
             and all(np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices))
         )
+
+
+class _RingSchedule(GraphSchedule):
+    def __init__(self, matrices: list, Q: int, weight_floor: float, ring_params: tuple[int, int, float]):
+        super().__init__(matrices, Q, weight_floor)
+        self.ring_params = ring_params
 
 
 def mix(A, states) -> NDArray[Float]:
@@ -248,6 +257,4 @@ def ring_schedule(n_agents: int, period: int, weight: float = 0.5) -> GraphSched
         matrices.append((1.0 - w) * np.eye(N) + w * S)
 
     floor = (1.0 - 1e-9) * min(w, 1.0 - w)
-    schedule = GraphSchedule(matrices, Q=P, weight_floor=floor)
-    schedule.ring_params = (N, P, w)  # lets configs serialize the compact form
-    return schedule
+    return _RingSchedule(matrices, Q=P, weight_floor=floor, ring_params=(N, P, w))

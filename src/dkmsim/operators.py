@@ -453,12 +453,10 @@ class OperatorFamily:
 
     Members are grouped by kind and parameter shape; groups holds
     (agent indices, stacked kind) pairs, and each group evaluates all its
-    agents in one call. displacement_bound_B, when set, is an empirical
-    bound on max_i ||F_i(x) - x|| over the sampled region (see
-    estimate_displacement_bound).
+    agents in one call.
     """
 
-    def __init__(self, operators: list[LocalOperator], displacement_bound_B: float | None = None):
+    def __init__(self, operators: list[LocalOperator]):
         if len(operators) == 0:
             raise ParameterError("a family needs at least one operator")
         part = operators[0].partition
@@ -471,7 +469,6 @@ class OperatorFamily:
         self.partition = part
         self.n = part.n
         self.n_agents = len(operators)
-        self.displacement_bound_B = displacement_bound_B
         members: dict[tuple, list[int]] = {}
         for i, op in enumerate(operators):
             members.setdefault(op.stack_key, []).append(i)
@@ -569,8 +566,8 @@ def estimate_displacement_bound(
 ) -> float:
     """Empirical max_i ||F_i(x) - x|| over sampled points.
 
-    A sampled maximum is a lower bound on the true supremum; it is stored on
-    the family as displacement_bound_B and used only for diagnostics.
+    A sampled maximum is a lower bound on the true supremum; validate_full
+    reports it as a diagnostic.
     """
     if sampler is None:
         sampler = uniform_box_sampler(family.n)
@@ -581,5 +578,4 @@ def estimate_displacement_bound(
         tiled = np.repeat(x[None, :], family.n_agents, axis=0)
         norms = np.linalg.norm(family.displacement_all(tiled), axis=1)
         worst = max(worst, float(norms.max()))
-    family.displacement_bound_B = worst
     return worst

@@ -17,18 +17,17 @@ Presets pin the named configurations the CLI exposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .blocks import BlockPartition, Float, as_point
-from .engine import BlockSelector, RunConfig, UniformInit, initial_states
+from .engine import BlockSelector, RunConfig, initial_states
 from .errors import OracleError, ParameterError
 from .graphs import GraphSchedule, ring_schedule
 from .operators import (
     Affine,
-    Ball,
     Box,
     ConvexSet,
     GradientStep,
@@ -42,15 +41,30 @@ from .operators import (
 from .stepsize import PowerLawStepsize
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A named runnable problem with its reference solution, when one exists."""
+    """A named runnable problem; its reference solution, if any, is config.reference."""
 
     name: str
     config: RunConfig
-    reference: NDArray[Float] | None
     reference_source: str
-    expected: tuple[str, ...] = ()
+
+    @property
+    def reference(self) -> NDArray[Float] | None:
+        return self.config.reference
+
+    def with_run(self, **overrides) -> "Scenario":
+        """This scenario with RunConfig fields replaced (and revalidated)."""
+        return replace(self, config=replace(self.config, **overrides))
+
+
+@dataclass(frozen=True)
+class _InitialMeanScenario(Scenario):
+    """Its reference is the initial mean, so it follows the run's seed and init."""
+
+    def __post_init__(self):
+        mean = initial_states(self.config).mean(axis=0)
+        object.__setattr__(self, "config", replace(self.config, reference=mean))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +202,20 @@ def staircase_boxes(n_agents: int) -> list[Box]:
 # scenario builders
 
 
+def _scenario(name, ops, schedule, stepsize, mode, selector, reference, source, run_kwargs) -> Scenario:
+    """The tail every builder shares: family, RunConfig (selector only in dbkm), Scenario."""
+    config = RunConfig(
+        family=OperatorFamily(ops),
+        stepsize=stepsize,
+        schedule=schedule,
+        mode=mode,
+        selector=selector if mode == "dbkm" else None,
+        reference=reference,
+        **run_kwargs,
+    )
+    return Scenario(name=name, config=config, reference_source=source)
+
+
 def build_distance_scenario(
     sets: list[ConvexSet],
     schedule: GraphSchedule,
@@ -207,7 +235,7 @@ def build_distance_scenario(
     if len(sets) == 0:
         raise ParameterError("need at least one set")
     n = sets[0].n
-    partition = BlockPartition(block_dims) if block_dims else BlockPartition.single(n)
+    partition = BlockPartition(block_dims or (n,))
     if partition.n != n:
         raise ParameterError(f"block dims {partition.dims} cover {partition.n} coordinates, sets need {n}")
     if mode == "dbkm":
@@ -218,24 +246,10 @@ def build_distance_scenario(
                 "block-coordinate projection runs require uniform block probabilities; "
                 f"got {selector.probabilities}"
             )
-    family = OperatorFamily([Projection(partition, s) for s in sets])
+    ops = [Projection(partition, s) for s in sets]
     reference = oracle_distance_minimizer(sets) if compute_reference else None
-    config = RunConfig(
-        family=family,
-        stepsize=stepsize,
-        schedule=schedule,
-        mode=mode,
-        selector=selector if mode == "dbkm" else None,
-        reference=reference,
-        **run_kwargs,
-    )
-    return Scenario(
-        name=name,
-        config=config,
-        reference=reference,
-        reference_source="mean-projection fixed-point iteration",
-        expected=("consensus", "fixed-point residual", "distance to reference"),
-    )
+    source = "mean-projection fixed-point iteration"
+    return _scenario(name, ops, schedule, stepsize, mode, selector, reference, source, run_kwargs)
 
 
 def build_dgd_scenario(
@@ -258,9 +272,8 @@ def build_dgd_scenario(
     """
     if len(objectives) == 0:
         raise ParameterError("need at least one objective")
-    n = objectives[0].n
-    partition = BlockPartition(block_dims) if block_dims else BlockPartition.single(n)
-    family = OperatorFamily([GradientStep(partition, f, tau) for f in objectives])
+    partition = BlockPartition(block_dims or (objectives[0].n,))
+    ops = [GradientStep(partition, f, tau) for f in objectives]
     reference = None
     source = "none"
     if compute_reference:
@@ -270,22 +283,7 @@ def build_dgd_scenario(
         else:
             reference = oracle_smooth_minimizer(objectives)
             source = "centralized gradient descent"
-    config = RunConfig(
-        family=family,
-        stepsize=stepsize,
-        schedule=schedule,
-        mode=mode,
-        selector=selector if mode == "dbkm" else None,
-        reference=reference,
-        **run_kwargs,
-    )
-    return Scenario(
-        name=name,
-        config=config,
-        reference=reference,
-        reference_source=source,
-        expected=("consensus", "fixed-point residual", "distance to reference"),
-    )
+    return _scenario(name, ops, schedule, stepsize, mode, selector, reference, source, run_kwargs)
 
 
 def build_linear_scenario(
@@ -309,14 +307,13 @@ def build_linear_scenario(
         raise ParameterError("need matching, nonempty matrix and offset lists")
     mats = [np.asarray(R, dtype=np.float64) for R in matrices]
     n = mats[0].shape[0]
-    partition = BlockPartition(block_dims) if block_dims else BlockPartition.single(n)
+    partition = BlockPartition(block_dims or (n,))
     if theta is None:
         lam_max = max(float(np.linalg.eigvalsh(R)[-1]) for R in mats)
         if lam_max <= 0:
             raise ParameterError("all matrices are zero; pick theta explicitly")
         theta = 2.0 / lam_max
     ops = [Affine(partition, R, r, theta) for R, r in zip(mats, offsets)]
-    family = OperatorFamily(ops)
     reference = None
     source = "none"
     if compute_reference:
@@ -329,22 +326,7 @@ def build_linear_scenario(
             source += " (minimum-norm; rank-deficient mean matrix)"
         if not sol.consistent:
             source += " (inconsistent system; least-squares point)"
-    config = RunConfig(
-        family=family,
-        stepsize=stepsize,
-        schedule=schedule,
-        mode=mode,
-        selector=selector if mode == "dbkm" else None,
-        reference=reference,
-        **run_kwargs,
-    )
-    return Scenario(
-        name=name,
-        config=config,
-        reference=reference,
-        reference_source=source,
-        expected=("consensus", "fixed-point residual", "distance to reference"),
-    )
+    return _scenario(name, ops, schedule, stepsize, mode, selector, reference, source, run_kwargs)
 
 
 def build_consensus_scenario(
@@ -356,19 +338,11 @@ def build_consensus_scenario(
     **run_kwargs,
 ) -> Scenario:
     """Identity operators: pure averaging. Any point is fixed, so the
-    reference is the initial mean, which mixing preserves."""
-    partition = BlockPartition.single(n)
-    family = OperatorFamily([Identity(partition) for _ in range(n_agents)])
+    reference is the initial mean, which mixing preserves; with_run
+    recomputes it for a new seed or init."""
+    family = OperatorFamily([Identity(BlockPartition.single(n)) for _ in range(n_agents)])
     config = RunConfig(family=family, stepsize=stepsize, schedule=schedule, mode="dkm", **run_kwargs)
-    reference = initial_states(config).mean(axis=0)
-    config.reference = as_point(reference, n)
-    return Scenario(
-        name=name,
-        config=config,
-        reference=config.reference,
-        reference_source="initial mean (identity operators fix every point)",
-        expected=("consensus",),
-    )
+    return _InitialMeanScenario(name, config, "initial mean (identity operators fix every point)")
 
 
 # ---------------------------------------------------------------------------
@@ -395,42 +369,25 @@ _PRESET_STEPSIZE = PowerLawStepsize(alpha0=1.0, gamma=0.7, k0=1)
 def build_preset(name: str, seed: int | None = None, max_rounds: int | None = None) -> Scenario:
     """Construct one of the named scenarios, optionally overriding seed/rounds."""
     if name == "paper-dkm-6":
-        return build_distance_scenario(
-            staircase_boxes(6),
-            ring_schedule(6, 2, 0.5),
-            _PRESET_STEPSIZE,
-            mode="dkm",
-            name=name,
-            max_rounds=20_000 if max_rounds is None else max_rounds,
-            seed=0 if seed is None else seed,
-            init=UniformInit(-5.0, 5.0),
+        scenario = build_distance_scenario(
+            staircase_boxes(6), ring_schedule(6, 2, 0.5), _PRESET_STEPSIZE, name=name, max_rounds=20_000
         )
-    if name == "paper-dbkm-100":
-        return build_distance_scenario(
+    elif name == "paper-dbkm-100":
+        scenario = build_distance_scenario(
             staircase_boxes(100),
             ring_schedule(100, 10, 0.5),
             _PRESET_STEPSIZE,
             mode="dbkm",
             block_dims=(1, 1, 1),
-            selector=BlockSelector.uniform(3),
             name=name,
-            max_rounds=100_000 if max_rounds is None else max_rounds,
-            seed=0 if seed is None else seed,
-            init=UniformInit(-5.0, 5.0),
+            max_rounds=100_000,
         )
-    if name == "linear-random":
+    elif name == "linear-random":
         matrices, offsets = random_linear_instance(0)
-        return build_linear_scenario(
-            matrices,
-            offsets,
-            ring_schedule(5, 2, 0.5),
-            _PRESET_STEPSIZE,
-            name=name,
-            max_rounds=100_000 if max_rounds is None else max_rounds,
-            seed=0 if seed is None else seed,
-            init=UniformInit(-5.0, 5.0),
+        scenario = build_linear_scenario(
+            matrices, offsets, ring_schedule(5, 2, 0.5), _PRESET_STEPSIZE, name=name, max_rounds=100_000
         )
-    if name == "dgd-quadratic":
+    elif name == "dgd-quadratic":
         rng = np.random.default_rng(11)
         objectives = []
         for _ in range(4):
@@ -438,27 +395,16 @@ def build_preset(name: str, seed: int | None = None, max_rounds: int | None = No
             b = rng.standard_normal(3)
             objectives.append(Quadratic(A, b))
         L = max(f.lipschitz_L for f in objectives)
-        return build_dgd_scenario(
-            objectives,
-            tau=1.0 / L,
-            schedule=ring_schedule(4, 2, 0.5),
-            stepsize=_PRESET_STEPSIZE,
-            name=name,
-            max_rounds=20_000 if max_rounds is None else max_rounds,
-            seed=0 if seed is None else seed,
-            init=UniformInit(-5.0, 5.0),
+        scenario = build_dgd_scenario(
+            objectives, 1.0 / L, ring_schedule(4, 2, 0.5), _PRESET_STEPSIZE, name=name, max_rounds=20_000
         )
-    if name == "dgd-huber":
+    elif name == "dgd-huber":
         rng = np.random.default_rng(13)
         objectives = [Huber(rng.uniform(-3.0, 3.0, 2), delta=1.0) for _ in range(3)]
-        return build_dgd_scenario(
-            objectives,
-            tau=1.0,
-            schedule=ring_schedule(3, 3, 0.5),
-            stepsize=_PRESET_STEPSIZE,
-            name=name,
-            max_rounds=20_000 if max_rounds is None else max_rounds,
-            seed=0 if seed is None else seed,
-            init=UniformInit(-5.0, 5.0),
+        scenario = build_dgd_scenario(
+            objectives, 1.0, ring_schedule(3, 3, 0.5), _PRESET_STEPSIZE, name=name, max_rounds=20_000
         )
-    raise ParameterError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    else:
+        raise ParameterError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    overrides = {"seed": seed, "max_rounds": max_rounds}
+    return scenario.with_run(**{k: v for k, v in overrides.items() if v is not None})

@@ -147,7 +147,10 @@ def read_trace(path) -> ParsedTrace:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("aborted at k="):
-                aborted_at = int(body.split("=", 1)[1])
+                try:
+                    aborted_at = int(body.split("=", 1)[1])
+                except ValueError as e:
+                    raise ConfigError(f"{path}:{line_no}: abort marker {line!r} has no round number") from e
             elif "=" in body:
                 key, value = body.split("=", 1)
                 meta[key.strip()] = value.strip()
@@ -183,7 +186,11 @@ def read_trace(path) -> ParsedTrace:
 
 
 def read_snapshots(path) -> dict[int, np.ndarray]:
-    """Parse a snapshot companion file into {round: (N, n) array}."""
+    """Parse a snapshot companion file into {round: (N, n) array}.
+
+    Every round must hold all N x n cells, N and n being the largest agent
+    and coordinate indices in the file plus one.
+    """
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -202,13 +209,22 @@ def read_snapshots(path) -> dict[int, np.ndarray]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ConfigError(f"{path}:{line_no}: expected 4 columns, got {len(parts)}")
-        k, agent, coord = int(parts[0]), int(parts[1]), int(parts[2])
-        entries.setdefault(k, {})[(agent, coord)] = float(parts[3])
+        try:
+            k, agent, coord, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as e:
+            raise ConfigError(f"{path}:{line_no}: expected three integers and a number, got {line!r}") from e
+        if min(k, agent, coord) < 0 or not math.isfinite(value):
+            raise ConfigError(f"{path}:{line_no}: negative index or non-finite value in {line!r}")
+        entries.setdefault(k, {})[(agent, coord)] = value
+    if not entries:
+        return {}
+    n_agents = 1 + max(a for cells in entries.values() for a, _ in cells)
+    n = 1 + max(c for cells in entries.values() for _, c in cells)
     out = {}
     for k, cells in entries.items():
-        n_agents = max(a for a, _ in cells) + 1
-        n = max(c for _, c in cells) + 1
-        arr = np.full((n_agents, n), np.nan)
+        if len(cells) != n_agents * n:
+            raise ConfigError(f"{path}: round {k} has {len(cells)} of {n_agents} x {n} snapshot cells")
+        arr = np.empty((n_agents, n))
         for (a, c), v in cells.items():
             arr[a, c] = v
         out[k] = arr

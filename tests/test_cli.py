@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from dkmsim import read_trace, save_config, scenario_from_config, load_config
+from dkmsim import load_config, read_trace, save_config, scenario_from_config, snapshot_path_for
 from dkmsim.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 
 
@@ -134,6 +134,36 @@ def test_run_validates_overrides(capsys, tmp_path, override, message):
     assert code == EXIT_VALIDATION
     assert err.splitlines() == [f"error: {message}"]
     assert not out_path.exists()
+
+
+@pytest.fixture
+def consensus_file(tmp_path):
+    doc = {
+        "problem": {"kind": "consensus", "agents": 4, "dimension": 2},
+        "graph": {"ring": {"agents": 4, "period": 2}},
+        "stepsize": {},
+        "run": {"max_rounds": 2000, "seed": 0},
+        "output": {"trace": str(tmp_path / "c.csv")},
+    }
+    path = tmp_path / "consensus.yaml"
+    save_config(doc, path)
+    return path
+
+
+def test_run_seed_override_moves_seed_dependent_reference(capsys, consensus_file, tmp_path):
+    # the consensus reference is the initial mean, which --seed changes
+    for seed in ("0", "5"):
+        code, out, _ = cli(capsys, "run", str(consensus_file), "--seed", seed)
+        assert code == EXIT_OK
+        assert f"seed {seed}" in out
+        assert read_trace(tmp_path / "c.csv").rows[-1].dist_to_ref < 1e-12
+
+
+def test_run_validates_overrides_on_config_file(capsys, consensus_file, tmp_path):
+    code, _, err = cli(capsys, "run", str(consensus_file), "--seed", "-1")
+    assert code == EXIT_VALIDATION
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_rerun_without_snapshots_leaves_no_stale_companion(capsys, config_file, tmp_path):
@@ -284,6 +314,49 @@ def test_compare_missing_reference_file(capsys, finished_trace):
     code, _, err = cli(capsys, "compare", str(finished_trace), "--reference", "nowhere.json")
     assert code == EXIT_PARSE
     assert "does not exist" in err
+
+
+@pytest.fixture(scope="module")
+def dkm6_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dkm6") / "t.csv"
+    argv = ["run", "paper-dkm-6", "--max-rounds", "100", "--snapshot-cadence", "50", "--output", str(path)]
+    assert main(argv) == EXIT_OK
+    return path
+
+
+def _swap_agent_for_word(files):
+    lines = files["snap"].splitlines()
+    lines[4] = "0,zero," + lines[4].split(",", 2)[2]
+    files["snap"] = "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "reference, edit, message",
+    [
+        ("[1.0, 2.0]", None, "reference has shape (2,), snapshots in {snap} have 3 coordinates"),
+        ("[1.0, 2.0, 3.0]", _swap_agent_for_word, "{snap}:5: expected three integers and a number"),
+        (
+            "[1.0, 2.0, 3.0]",
+            lambda files: files.update(snap=files["snap"].rsplit("\n", 2)[0] + "\n"),
+            "{snap}: round 100 has 17 of 6 x 3 snapshot cells",
+        ),
+        (None, lambda files: files.update(trace=files["trace"] + "# aborted at k=oops\n"), "{trace}:113: abort marker"),
+    ],
+    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker"],
+)
+def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, reference, edit, message):
+    files = {"trace": dkm6_trace.read_text(), "snap": snapshot_path_for(dkm6_trace).read_text()}
+    if edit is not None:
+        edit(files)
+    trace = tmp_path / "t.csv"
+    trace.write_text(files["trace"])
+    snapshot_path_for(trace).write_text(files["snap"])
+    argv = ["compare", str(trace)] + ([] if reference is None else ["--reference", reference])
+    code, out, err = cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert "final distance" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: " + message.format(trace=trace, snap=snapshot_path_for(trace)))
 
 
 def test_compare_tail_start_past_end(capsys, finished_trace):

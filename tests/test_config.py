@@ -207,6 +207,22 @@ def test_explicit_reference_overrides_oracle():
     assert np.array_equal(sc.config.reference, sc.reference)
 
 
+def test_explicit_reference_survives_run_overrides():
+    doc = {
+        "problem": {"kind": "consensus", "agents": 4, "dimension": 2},
+        "graph": {"ring": {"agents": 4, "period": 2}},
+        "stepsize": {},
+        "run": {"max_rounds": 20, "seed": 0, "reference": [0.5, -0.5]},
+    }
+    sc = scenario_from_config(doc).with_run(seed=5)
+    assert sc.reference_source == "config file"
+    assert np.array_equal(sc.reference, [0.5, -0.5])
+    del doc["run"]["reference"]
+    derived = scenario_from_config(doc)
+    assert derived.reference_source.startswith("initial mean")
+    assert not np.array_equal(derived.with_run(seed=5).reference, derived.reference)
+
+
 def test_explicit_reference_length_checked():
     doc = make_doc()
     doc["run"]["reference"] = [1.0, 2.0]
@@ -269,7 +285,7 @@ def test_explicit_matrix_graph_round_trips(tmp_path):
         schedule=schedule,
         max_rounds=10,
     )
-    sc = Scenario(name="explicit-graph", config=config, reference=None, reference_source="none")
+    sc = Scenario(name="explicit-graph", config=config, reference_source="none")
     doc = scenario_to_config(sc)
     assert "matrices" in doc["graph"]
     path = tmp_path / "explicit.yaml"
@@ -287,7 +303,7 @@ def test_mixed_family_cannot_serialize():
         schedule=ring_schedule(2, 1, 0.5),
         max_rounds=10,
     )
-    sc = Scenario(name="mixed", config=config, reference=None, reference_source="none")
+    sc = Scenario(name="mixed", config=config, reference_source="none")
     with pytest.raises(ConfigError, match="mixes"):
         scenario_to_config(sc)
 
@@ -312,5 +328,10 @@ def test_deep_copies_do_not_alias():
     doc = make_doc()
     sc1 = scenario_from_config(copy.deepcopy(doc))
     sc2 = scenario_from_config(copy.deepcopy(doc))
-    sc1.config.max_rounds = 999
-    assert sc2.config.max_rounds == 100
+    assert sc1.with_run(max_rounds=999).config.max_rounds == 999
+    assert sc1.config.max_rounds == sc2.config.max_rounds == 100
+    box1 = sc1.config.family.operators[0].target_set
+    box2 = sc2.config.family.operators[0].target_set
+    assert not np.shares_memory(box1.lower, box2.lower)
+    assert sc1.config.reference is not None
+    assert not np.shares_memory(sc1.config.reference, sc2.config.reference)

@@ -6,6 +6,8 @@ single-point relaxed iteration on the agent-averaged displacement, exactly
 to rounding.
 """
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from dkmsim import (
     dbkm_step,
     dkm_step,
     draw_block,
+    estimate_displacement_bound,
     initial_states,
     mix,
     ring_schedule,
@@ -309,6 +312,26 @@ def test_single_agent_run_equals_centralized():
         assert np.array_equal(snap[0], traj[k]), f"diverged from centralized at round {k}"
 
 
+@pytest.mark.parametrize("init", [UniformInit(), np.arange(16.0).reshape(4, 4) - 8.0], ids=["uniform", "explicit"])
+def test_centralized_run_equals_centralized_km(init):
+    family = mixed_family()
+    config = RunConfig(
+        family=family, stepsize=STEP, mode="centralized", max_rounds=300, seed=5, init=init, snapshot_every=1
+    )
+    trace = run(config)
+    if isinstance(init, UniformInit):
+        x0 = np.random.default_rng(5).uniform(init.low, init.high, family.n)
+    else:
+        x0 = init.mean(axis=0)
+    traj = centralized_km(family, x0, STEP, 300)
+    snaps = [rec.snapshot for rec in trace.records if rec.snapshot is not None]
+    assert len(snaps) == 301
+    for k, snap in enumerate(snaps):
+        assert snap.shape == (1, family.n)
+        assert np.array_equal(snap[0], traj[k]), f"diverged from centralized_km at round {k}"
+    assert not np.array_equal(traj[0], traj[-1])
+
+
 def test_single_block_run_equals_full_run():
     family = OperatorFamily([Projection(BlockPartition.single(3), b) for b in staircase_boxes(6)])
     schedule = ring_schedule(6, 2, 0.5)
@@ -414,6 +437,25 @@ def test_config_cross_checks():
         RunConfig(family=family, stepsize=STEP, schedule=schedule, reference=np.zeros(3))
 
 
+def test_run_config_is_frozen():
+    config = RunConfig(family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), init=np.zeros((4, 4)))
+    for f in fields(RunConfig):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+    changed = replace(config, max_rounds=7)
+    assert (changed.max_rounds, config.max_rounds) == (7, 1000)
+    # the arrays are read-only copies: neither the caller nor a reader can change them
+    ref = np.ones(4)
+    with_ref = replace(config, reference=ref)
+    ref[0] = 42.0
+    assert np.array_equal(with_ref.reference, np.ones(4))
+    for arr in (with_ref.init, with_ref.reference):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+    with pytest.raises(ParameterError, match="max_rounds must be >= 1"):
+        replace(config, max_rounds=0)
+
+
 def test_validate_run_flags_bad_stepsize():
     family = mixed_family()
     schedule = ring_schedule(4, 2, 0.5)
@@ -423,8 +465,7 @@ def test_validate_run_flags_bad_stepsize():
     with pytest.raises(AssumptionError):
         run(config)
     # skipping validation lets the run proceed anyway
-    config.max_rounds = 10
-    trace = run(config, validate=False)
+    trace = run(replace(config, max_rounds=10), validate=False)
     assert trace.last().k == 10
 
 
@@ -437,7 +478,9 @@ def test_validate_full_adds_sampled_checks():
     assert any("nonexpansive" in n for n in names)
     assert any("displacement bound" in n for n in names)
     assert all(r.passed for r in reports)
-    assert family.displacement_bound_B is not None
+    bound = estimate_displacement_bound(family, num_points=50, seed=0)
+    assert bound > 0
+    assert f">= {bound:.6g} over 50 sampled points" in reports[-1].detail
 
 
 def test_validate_full_catches_forced_invalid_operator():

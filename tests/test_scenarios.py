@@ -1,6 +1,7 @@
 """Scenario builders and their engine-independent reference oracles."""
 
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -300,6 +301,17 @@ def test_consensus_builder_reference_is_initial_mean():
     assert np.allclose(trace.final_states.mean(axis=0), sc.reference, atol=1e-10)
 
 
+def test_consensus_reference_follows_run_overrides():
+    sc = build_consensus_scenario(4, 2, ring_schedule(4, 2, 0.5), STEP, max_rounds=50)
+    reseeded = sc.with_run(seed=5)
+    assert reseeded.config.seed == 5 and sc.config.seed == 0
+    assert np.array_equal(reseeded.reference, initial_states(reseeded.config).mean(axis=0))
+    assert not np.array_equal(reseeded.reference, sc.reference)
+    explicit = sc.with_run(init=np.full((4, 2), 3.0))
+    assert np.array_equal(explicit.reference, [3.0, 3.0])
+    assert reseeded.reference_source == sc.reference_source
+
+
 # ---------------------------------------------------------------------------
 # presets
 
@@ -346,6 +358,17 @@ def test_preset_overrides():
     sc = build_preset("paper-dkm-6", seed=7, max_rounds=50)
     assert sc.config.seed == 7
     assert sc.config.max_rounds == 50
+
+
+def test_scenarios_are_frozen():
+    sc = build_preset("dgd-huber", max_rounds=10)
+    for f in fields(sc):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sc, f.name, getattr(sc, f.name))
+    with pytest.raises(FrozenInstanceError):
+        sc.reference = None
+    assert sc.reference is sc.config.reference
+    assert "expected" not in {f.name for f in fields(sc)}
 
 
 def test_unknown_preset_rejected():

@@ -1,5 +1,7 @@
 """Trace CSV writing and strict reading, including the snapshot companion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,7 @@ from dkmsim.errors import ConfigError, DivergenceError
 @pytest.fixture(scope="module")
 def dkm_trace():
     sc = build_preset("paper-dkm-6", max_rounds=200)
-    sc.config.snapshot_every = 50
-    return run(sc.config)
+    return run(replace(sc.config, snapshot_every=50))
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,24 @@ def test_headerless_file_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         read_trace(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("0,zero,0,1.5", "expected three integers and a number"),
+        ("0,0,0,", "expected three integers and a number"),
+        ("0,-1,0,1.5", "negative index or non-finite value"),
+        ("0,0,0,nan", "negative index or non-finite value"),
+        ("1,1,1,1.5", "round 0 has 3 of 2 x 2 snapshot cells"),
+    ],
+)
+def test_malformed_snapshot_rejected(tmp_path, cell, message):
+    # round 0 lacks only its (agent 1, coord 1) cell; each case adds one line
+    path = tmp_path / "t.snapshots.csv"
+    path.write_text("k,agent,coord_index,value\n0,0,0,1.0\n0,0,1,2.0\n0,1,0,3.0\n" + cell + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_snapshots(path)
 
 
 def test_metadata_accessors_require_keys():
