@@ -70,11 +70,11 @@ def cmd_run(args) -> int:
     try:
         trace = run(config, validate=False)
     except DivergenceError as e:
-        if e.trace is not None:
-            write_trace(e.trace, trace_path)
-            print(f"diverged after round {e.last_round}; partial trace written to {trace_path}")
-        else:
-            print(f"diverged after round {e.last_round}")
+        write_trace(e.trace, trace_path)
+        print(
+            f"diverged after round {e.last_round} at agent {e.agent}, coordinate {e.coordinate};"
+            f" partial trace written to {trace_path}"
+        )
         return EXIT_DIVERGENCE
 
     write_trace(trace, trace_path)
@@ -134,25 +134,27 @@ def cmd_compare(args) -> int:
     if args.reference is not None:
         reference = _load_reference_arg(args.reference)
         snap_file = snapshot_path_for(args.trace)
-        if snap_file.exists():
-            snaps = read_snapshots(snap_file)
-            k_last = max(snaps, default=None)
-            if k_last != last.k:
-                print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
-                return EXIT_PARSE
-            n = snaps[k_last].shape[1]
-            if reference.shape != (n,):
-                raise ConfigError(
-                    f"reference has shape {reference.shape}, snapshots in {snap_file} have {n} coordinates"
-                )
-            final_dist = float(np.linalg.norm(snaps[k_last] - reference, axis=1).max())
-            print(f"distance recomputed from snapshot at k={k_last}")
-        elif final_dist is None:
-            print(
-                "trace has no dist_to_ref column and no snapshot file "
-                f"({snap_file}); cannot apply the reference"
-            )
+        if not snap_file.exists():
+            print(f"trace has no snapshot file ({snap_file}); cannot apply the reference")
             return EXIT_PARSE
+        snaps = read_snapshots(snap_file)
+        k_last = max(snaps, default=None)
+        if k_last != last.k:
+            print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
+            return EXIT_PARSE
+        shape = parsed.state_shape()
+        for k, snap in snaps.items():
+            if snap.shape != shape:
+                raise ConfigError(
+                    f"{snap_file}: round {k} holds a {snap.shape[0]} x {snap.shape[1]} snapshot,"
+                    f" the trace header says {shape[0]} agents x {shape[1]} coordinates"
+                )
+        if reference.shape != (shape[1],):
+            raise ConfigError(
+                f"reference has shape {reference.shape}, snapshots in {snap_file} have {shape[1]} coordinates"
+            )
+        final_dist = float(np.linalg.norm(snaps[k_last] - reference, axis=1).max())
+        print(f"distance recomputed from snapshot at k={k_last}")
 
     tail_start = args.tail_start
     if tail_start is None:

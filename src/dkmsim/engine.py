@@ -38,6 +38,9 @@ from .validation import ValidationReport, Violation, failed, passed
 
 DIVERGENCE_LIMIT = 1e12
 
+# rounds per chunk in run(): one draw of block uniforms and one record list each
+CHUNK_ROUNDS = 256
+
 MODES = ("dkm", "dbkm", "centralized")
 
 
@@ -247,8 +250,14 @@ def validate_full(
     return reports
 
 
-def _default_record(k: int) -> bool:
-    return k < 1000 or k % -(-k // 1000) == 0
+def _recorded_rounds(config: RunConfig, start: int, stop: int) -> list[int]:
+    """The rounds in [start, stop) that get a trace record, ascending."""
+    if config.record_every is not None:
+        r = config.record_every
+        return list(range(-(-start // r) * r, stop, r))
+    ks = np.arange(start, stop)
+    # the default keeps round k when ceil(k/1000) divides it: every round up to 1000
+    return ks[ks % np.maximum(-(-ks // 1000), 1) == 0].tolist()
 
 
 def initial_states(config: RunConfig, rng: np.random.Generator | None = None) -> NDArray[Float]:
@@ -279,11 +288,20 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     With validate=True (the default) the deterministic assumption checks run
     first and the first failure raises AssumptionError. Identical config and
     seed give an identical trace, including the drawn block sequence.
+
+    Inputs are checked once, before round 0: RunConfig has checked the
+    shapes, and every alpha_k must lie in (0, 1]. Rounds then run in chunks
+    of CHUNK_ROUNDS with one draw of block uniforms per chunk, and do the
+    arithmetic of dkm_step / dbkm_step without their per-call checks; only
+    recorded rounds do more. The divergence guard runs every round.
     """
     if validate:
         for report in validate_run(config):
             if not report.passed:
                 raise AssumptionError(report)
+    # alpha_k is nonincreasing and alpha_0 <= 1 holds by construction, so the
+    # last round's value settles the range for every round
+    _check_alpha(config.stepsize.alpha(config.max_rounds - 1))
 
     family = config.family
     rng = np.random.default_rng(config.seed)
@@ -298,11 +316,6 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         max_rounds=config.max_rounds,
         stepsize=config.stepsize,
     )
-
-    def should_record(k: int) -> bool:
-        if config.record_every is not None:
-            return k % config.record_every == 0
-        return _default_record(k)
 
     def make_record(k: int, block: int | None) -> TraceRecord:
         xbar = states.mean(axis=0)
@@ -322,25 +335,46 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             snapshot=snap,
         )
 
-    for k in range(config.max_rounds):
-        recording = should_record(k)
-        block = None
-        if config.mode == "dbkm":
-            block = draw_block(config.selector, rng)
-        if recording:
-            trace.records.append(make_record(k, block))
-        alpha = config.stepsize.alpha(k)
-        if config.mode == "dkm":
-            states = dkm_step(states, config.schedule.at(k), family, alpha)
-        elif config.mode == "dbkm":
-            states = dbkm_step(states, config.schedule.at(k), family, alpha, block)
-        else:
-            x = states[0]
-            states = (x + alpha * family.global_displacement(x))[None, :]
-        peak = float(np.max(np.abs(states)))
-        if not np.isfinite(peak) or peak > config.divergence_limit:
-            trace.aborted_at = k + 1
-            raise DivergenceError(k, trace)
+    mode = config.mode
+    alpha_at = config.stepsize.alpha
+    limit = config.divergence_limit
+    stack = family._stack
+    if mode != "centralized":
+        mats, period = config.schedule.matrices, config.schedule.period
+    if mode == "dbkm":
+        cumulative = config.selector._cumulative
+        slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
+    block = None
+    for start in range(0, config.max_rounds, CHUNK_ROUNDS):
+        stop = min(start + CHUNK_ROUNDS, config.max_rounds)
+        recorded = iter(_recorded_rounds(config, start, stop))
+        next_record = next(recorded, stop)
+        if mode == "dbkm":
+            # the same stream as one draw_block per round
+            blocks = np.searchsorted(cumulative, rng.random(stop - start), side="right").tolist()
+        for k in range(start, stop):
+            if mode == "dbkm":
+                block = blocks[k - start]
+            if k == next_record:
+                trace.records.append(make_record(k, block))
+                next_record = next(recorded, stop)
+            alpha = alpha_at(k)
+            if mode == "dkm":
+                new = mats[k % period] @ states
+                new += alpha * stack.displacement(new)
+            elif mode == "dbkm":
+                new = mats[k % period] @ states
+                sl = slices[block]
+                new[:, sl] += alpha * stack.displacement_block(sl, new)
+            else:
+                x = states[0]
+                new = (x + alpha * family.global_displacement(x))[None, :]
+            if not np.abs(new).max() <= limit:
+                trace.aborted_at = k + 1
+                # the first entry, row-major, that is non-finite or past the limit
+                agent, coord = divmod(int(np.argmax(~(np.abs(new) <= limit))), new.shape[1])
+                raise DivergenceError(k, trace, agent=agent, coordinate=coord, last_states=states)
+            states = new
 
     trace.records.append(make_record(config.max_rounds, None))
     trace.final_states = states

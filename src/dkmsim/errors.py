@@ -62,14 +62,20 @@ class AssumptionError(DkmsimError):
 class DivergenceError(DkmsimError):
     """Iterate coordinates exceeded the divergence guard.
 
-    ``last_round`` is the last round with finite, in-bound state; ``trace``
+    ``last_round`` is the last round with finite, in-bound state, and
+    ``last_states`` that (N, n) state; the step out of it took entry
+    (``agent``, ``coordinate``) non-finite or past the limit. ``trace``
     holds everything recorded up to the abort.
     """
 
-    def __init__(self, last_round: int, trace=None):
-        super().__init__(f"iteration diverged after round {last_round}")
+    def __init__(self, last_round: int, trace=None, agent=None, coordinate=None, last_states=None):
+        where = "" if agent is None else f" at agent {agent}, coordinate {coordinate}"
+        super().__init__(f"iteration diverged after round {last_round}{where}")
         self.last_round = last_round
         self.trace = trace
+        self.agent = agent
+        self.coordinate = coordinate
+        self.last_states = last_states
 
 
 class OracleError(DkmsimError):

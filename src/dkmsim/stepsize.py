@@ -44,7 +44,7 @@ class PowerLawStepsize:
         if int(self.k0) != self.k0 or self.k0 < 1:
             raise ParameterError(f"k0 must be an integer >= 1, got {self.k0}")
         object.__setattr__(self, "k0", int(self.k0))
-        first = self.alpha0 / self.k0**self.gamma
+        first = self.alpha(0)
         if first > 1.0:
             raise ParameterError(
                 f"alpha_0 = alpha0 / k0^gamma = {first:.6g} exceeds 1; shrink alpha0 or raise k0"
@@ -53,7 +53,12 @@ class PowerLawStepsize:
     def alpha(self, k: int) -> float:
         if k < 0:
             raise ParameterError(f"round index must be nonnegative, got {k}")
-        return self.alpha0 / (k + self.k0) ** self.gamma
+        try:
+            return self.alpha0 / (k + self.k0) ** self.gamma
+        except OverflowError:
+            raise ParameterError(
+                f"alpha_{k} is out of float range: (k + k0)^gamma = {k + self.k0}^{self.gamma:g} overflows"
+            ) from None
 
     def alpha_half(self, k: int) -> float:
         """alpha_{floor(k/2)}, the lag factor in the coupled sum and rate fits."""

@@ -117,6 +117,15 @@ class ParsedTrace:
         except KeyError as e:
             raise ConfigError("trace metadata lacks max_rounds") from e
 
+    def state_shape(self) -> tuple[int, int]:
+        """(agents, dimension) from the metadata: the shape of every snapshot."""
+        try:
+            return int(self.meta["agents"]), int(self.meta["dimension"])
+        except KeyError as e:
+            raise ConfigError(f"trace metadata lacks {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"trace metadata agents/dimension is not an integer: {e}") from e
+
 
 def _parse_field(text: str, path, line_no: int, column: str, caster):
     if text == "":

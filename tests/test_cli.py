@@ -174,15 +174,32 @@ def test_rerun_without_snapshots_leaves_no_stale_companion(capsys, config_file, 
     assert cli(capsys, "run", str(config_file), "--max-rounds", "10")[0] == EXIT_OK
     assert not companion.exists()
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
-    assert code == EXIT_OK
-    assert "final round: 10" in out
-    assert "snapshot" not in out
+    assert code == EXIT_PARSE
+    assert out.splitlines() == [f"trace has no snapshot file ({companion}); cannot apply the reference"]
 
     # a companion that does not end where the trace does is refused
     companion.write_bytes(stale)
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
     assert code == EXIT_PARSE
     assert out.splitlines() == [f"snapshot file {companion} does not end at the trace's final round k=10"]
+
+
+def test_run_skip_validate_refuses_overflowing_stepsize(capsys, tmp_path):
+    doc = {
+        "problem": {"kind": "consensus", "agents": 4, "dimension": 2},
+        "graph": {"ring": {"agents": 4, "period": 2}},
+        "stepsize": {"gamma": 200.0},
+        "run": {"max_rounds": 2000, "seed": 0},
+        "output": {"trace": str(tmp_path / "g.csv")},
+    }
+    path = tmp_path / "g.yaml"
+    save_config(doc, path)
+    code, out, err = cli(capsys, "run", str(path), "--skip-validate")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: alpha_1999 is out of float range")
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_run_refuses_invalid_assumptions(capsys, tmp_path):
@@ -215,6 +232,11 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     parsed = read_trace(tmp_path / "d.csv")
     assert parsed.aborted_at is not None
     assert parsed.rows[-1].k < 500
+    # the line names the round, agent and coordinate that blew up
+    last_round = parsed.aborted_at - 1
+    assert out.splitlines() == [
+        f"diverged after round {last_round} at agent 0, coordinate 0; partial trace written to {tmp_path / 'd.csv'}"
+    ]
 
 
 def test_run_missing_config(capsys, tmp_path):
@@ -324,6 +346,27 @@ def dkm6_trace(tmp_path_factory):
     return path
 
 
+def test_compare_refuses_reference_without_snapshots(capsys, tmp_path):
+    # the trace's own dist_to_ref is to the run's reference, not to the one given
+    trace = tmp_path / "n.csv"
+    assert main(["run", "paper-dkm-6", "--max-rounds", "100", "--output", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    assert read_trace(trace).rows[-1].dist_to_ref is not None
+    code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[99.0, 99.0, 99.0]")
+    assert code == EXIT_PARSE
+    assert out.splitlines() == [
+        f"trace has no snapshot file ({snapshot_path_for(trace)}); cannot apply the reference"
+    ]
+
+
+def _drop_agent(agent):
+    def edit(files):
+        lines = files["snap"].splitlines()
+        files["snap"] = "\n".join(line for line in lines if line.split(",")[1] != str(agent)) + "\n"
+
+    return edit
+
+
 def _swap_agent_for_word(files):
     lines = files["snap"].splitlines()
     lines[4] = "0,zero," + lines[4].split(",", 2)[2]
@@ -341,8 +384,13 @@ def _swap_agent_for_word(files):
             "{snap}: round 100 has 17 of 6 x 3 snapshot cells",
         ),
         (None, lambda files: files.update(trace=files["trace"] + "# aborted at k=oops\n"), "{trace}:113: abort marker"),
+        (
+            "[1.0, 2.0, 3.0]",
+            _drop_agent(5),
+            "{snap}: round 0 holds a 5 x 3 snapshot, the trace header says 6 agents x 3 coordinates",
+        ),
     ],
-    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker"],
+    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker", "missing-agent"],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, reference, edit, message):
     files = {"trace": dkm6_trace.read_text(), "snap": snapshot_path_for(dkm6_trace).read_text()}

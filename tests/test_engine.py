@@ -39,6 +39,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
+from dkmsim.engine import CHUNK_ROUNDS
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -621,3 +622,143 @@ def test_run_divergence_aborts_with_partial_trace():
     assert trace.aborted_at < 50  # doubling passes 1e6 after ~20 rounds
     assert len(trace.records) > 0
     assert trace.final_states is None
+
+
+# ---------------------------------------------------------------------------
+# run() against the checked steps, round by round
+
+
+def reference_run(config):
+    """run() spelled out with dkm_step / dbkm_step and one draw_block per round.
+
+    Returns (records, last states computed, aborted round or None): the
+    final states, or on abort the out-of-range ones. A record is (k, drawn
+    block, state at k), kept where run()'s default or record_every cadence
+    keeps one.
+    """
+    family = config.family
+    rng = np.random.default_rng(config.seed)
+    states = initial_states(config, rng)
+    records = []
+    for k in range(config.max_rounds):
+        block = draw_block(config.selector, rng) if config.mode == "dbkm" else None
+        if config.record_every is None:
+            keep = k < 1000 or k % -(-k // 1000) == 0
+        else:
+            keep = k % config.record_every == 0
+        if keep:
+            records.append((k, block, states))
+        alpha = config.stepsize.alpha(k)
+        if config.mode == "dkm":
+            states = dkm_step(states, config.schedule.at(k), family, alpha)
+        elif config.mode == "dbkm":
+            states = dbkm_step(states, config.schedule.at(k), family, alpha, block)
+        else:
+            x = states[0]
+            states = (x + alpha * family.global_displacement(x))[None, :]
+        if not np.all(np.abs(states) <= config.divergence_limit):
+            return records, states, k
+    records.append((config.max_rounds, None, states))
+    return records, states, None
+
+
+def assert_records_match(trace, expected):
+    assert [rec.k for rec in trace.records] == [k for k, _, _ in expected]
+    assert [rec.selected_block for rec in trace.records] == [b for _, b, _ in expected]
+    for rec, (k, _, states) in zip(trace.records, expected):
+        assert np.array_equal(rec.snapshot, states), f"state differs from the checked steps at round {k}"
+        assert rec.alpha_k == trace.stepsize.alpha(k)
+
+
+KERNEL_MODES = {
+    "dkm": {"mode": "dkm"},
+    "dbkm": {"mode": "dbkm", "selector": BlockSelector((0.5, 0.3, 0.2))},
+    "centralized": {"mode": "centralized"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@pytest.mark.parametrize(
+    "rounds, record_every",
+    [(100, 1), (CHUNK_ROUNDS, 1), (2 * CHUNK_ROUNDS + 37, 7), (5 * CHUNK_ROUNDS + 20, None)],
+    ids=["below-one-chunk", "one-chunk", "not-a-chunk-multiple", "default-cadence"],
+)
+def test_run_equals_checked_steps(mode, rounds, record_every):
+    config = RunConfig(
+        family=mixed_family(),
+        stepsize=STEP,
+        schedule=ring_schedule(4, 2, 0.5),
+        max_rounds=rounds,
+        seed=11,
+        record_every=record_every,
+        snapshot_every=1,
+        **KERNEL_MODES[mode],
+    )
+    expected, final, aborted = reference_run(config)
+    assert aborted is None
+    trace = run(config)
+    assert np.array_equal(trace.final_states, final)
+    assert_records_match(trace, expected)
+
+
+def growing_family():
+    """Four mixed kinds on R^4 = (2, 1, 1); agent 2's last coordinate grows by 1 + alpha a round."""
+    part = BlockPartition((2, 1, 1))
+    grow = Affine(part, -np.diag([0.0, 0.0, 0.0, 1.0]), np.zeros(4), theta=1.0, validate=False)
+    return OperatorFamily(
+        [
+            GradientStep(part, Huber(np.zeros(4), 1.0), tau=1.0),
+            Identity(part),
+            grow,
+            GradientStep(part, Huber(np.ones(4), 0.5), tau=0.5),
+        ]
+    )
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+def test_divergence_in_a_later_chunk_matches_checked_steps(mode):
+    config = RunConfig(
+        family=growing_family(),
+        stepsize=PowerLawStepsize(0.05, 0.0, 1),
+        schedule=GraphSchedule([np.eye(4)], Q=1, weight_floor=0.5),
+        max_rounds=3000,
+        init=np.full((4, 4), 10.0),
+        record_every=1,
+        snapshot_every=1,
+        divergence_limit=1e7,
+        **KERNEL_MODES[mode],
+    )
+    expected, blown, aborted = reference_run(config)
+    assert aborted is not None and aborted >= CHUNK_ROUNDS
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    err = exc.value
+    assert err.last_round == aborted
+    assert err.trace.aborted_at == aborted + 1
+    assert err.trace.final_states is None
+    assert_records_match(err.trace, expected)
+    # the state the fatal round started from, and the entry that round took past the limit
+    assert expected[-1][0] == aborted
+    assert np.array_equal(err.last_states, expected[-1][2])
+    assert (err.agent, err.coordinate) == ((0 if mode == "centralized" else 2), 3)
+    assert abs(blown[err.agent, err.coordinate]) > 1e7
+
+
+def test_run_checks_every_stepsize_before_round_zero():
+    # alpha_k underflows to 0 from k = 229 on; the doubling graph diverges within ten rounds
+    fading = PowerLawStepsize(1e-300, 10.0, 1)
+    assert fading.alpha(228) > 0.0 and fading.alpha(229) == 0.0
+    family = OperatorFamily([Identity(BlockPartition.single(1))])
+    config = RunConfig(
+        family=family,
+        stepsize=fading,
+        schedule=GraphSchedule([np.array([[2.0]])], Q=1, weight_floor=0.4),
+        max_rounds=1000,
+        divergence_limit=1e3,
+    )
+    with pytest.raises(ParameterError, match=r"stepsize must lie in \(0, 1\], got 0\.0"):
+        run(config, validate=False)
+    # with every alpha_k in range the same run gets as far as the guard
+    with pytest.raises(DivergenceError) as exc:
+        run(replace(config, max_rounds=229), validate=False)
+    assert exc.value.last_round < 10

@@ -76,6 +76,16 @@ def test_negative_round_rejected():
         PowerLawStepsize().alpha(-1)
 
 
+def test_overflowing_power_is_a_parameter_error():
+    ss = PowerLawStepsize(1.0, 200.0, 1)
+    assert ss.alpha(33) > 0.0  # 34^200 is about 1e306
+    with pytest.raises(ParameterError, match=r"alpha_34 is out of float range"):
+        ss.alpha(34)
+    # alpha_0 itself out of range fails at construction, with the same error
+    with pytest.raises(ParameterError, match=r"alpha_0 is out of float range"):
+        PowerLawStepsize(1.0, 400.0, 10)
+
+
 def test_condition_verdicts():
     assert check_stepsize_conditions(PowerLawStepsize(1.0, 0.7, 1)).passed
     assert check_stepsize_conditions(PowerLawStepsize(1.0, 1.0, 1)).passed
