@@ -142,13 +142,13 @@ def cmd_compare(args) -> int:
         if k_last != last.k:
             print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
             return EXIT_PARSE
-        shape = parsed.state_shape()
-        for k, snap in snaps.items():
-            if snap.shape != shape:
-                raise ConfigError(
-                    f"{snap_file}: round {k} holds a {snap.shape[0]} x {snap.shape[1]} snapshot,"
-                    f" the trace header says {shape[0]} agents x {shape[1]} coordinates"
-                )
+        # read_snapshots makes every round the same shape, so one round settles it
+        shape, got = parsed.state_shape(), snaps[k_last].shape
+        if got != shape:
+            raise ConfigError(
+                f"{snap_file}: round {k_last} holds a {got[0]} x {got[1]} snapshot,"
+                f" the trace header says {shape[0]} state rows x {shape[1]} coordinates"
+            )
         if reference.shape != (shape[1],):
             raise ConfigError(
                 f"reference has shape {reference.shape}, snapshots in {snap_file} have {shape[1]} coordinates"

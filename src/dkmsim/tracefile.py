@@ -118,9 +118,13 @@ class ParsedTrace:
             raise ConfigError("trace metadata lacks max_rounds") from e
 
     def state_shape(self) -> tuple[int, int]:
-        """(agents, dimension) from the metadata: the shape of every snapshot."""
+        """(agents, dimension) from the metadata: the shape of every snapshot.
+
+        A centralized run keeps a single state row, whatever its agent count.
+        """
         try:
-            return int(self.meta["agents"]), int(self.meta["dimension"])
+            agents, n = int(self.meta["agents"]), int(self.meta["dimension"])
+            return (1 if self.meta.get("mode") == "centralized" else agents), n
         except KeyError as e:
             raise ConfigError(f"trace metadata lacks {e}") from e
         except ValueError as e:

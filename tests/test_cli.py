@@ -318,6 +318,21 @@ def test_compare_inline_reference_uses_snapshots(capsys, finished_trace):
     assert "distance recomputed from snapshot at k=300" in out
 
 
+def test_compare_reference_on_centralized_snapshots(capsys, tmp_path):
+    # a centralized run keeps one state row, though its header names every agent
+    doc = base_doc(tmp_path / "c.csv")
+    doc["run"]["mode"] = "centralized"
+    path = tmp_path / "cent.yaml"
+    save_config(doc, path)
+    code, _, _ = cli(capsys, "run", str(path), "--snapshot-cadence", "50")
+    assert code == EXIT_OK
+    assert read_trace(tmp_path / "c.csv").meta["agents"] == "2"
+    code, out, err = cli(capsys, "compare", str(tmp_path / "c.csv"), "--reference", "[1.5]")
+    assert (code, err) == (EXIT_OK, "")
+    assert "distance recomputed from snapshot at k=300" in out
+    assert "final distance to reference: " in out
+
+
 def test_compare_reference_file(capsys, finished_trace, tmp_path):
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps([1.5]))
@@ -387,7 +402,7 @@ def _swap_agent_for_word(files):
         (
             "[1.0, 2.0, 3.0]",
             _drop_agent(5),
-            "{snap}: round 0 holds a 5 x 3 snapshot, the trace header says 6 agents x 3 coordinates",
+            "{snap}: round 100 holds a 5 x 3 snapshot, the trace header says 6 state rows x 3 coordinates",
         ),
     ],
     ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker", "missing-agent"],

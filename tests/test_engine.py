@@ -39,7 +39,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import CHUNK_ROUNDS
+from dkmsim.engine import BLOCK_DRAWS
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -680,8 +680,8 @@ KERNEL_MODES = {
 @pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
 @pytest.mark.parametrize(
     "rounds, record_every",
-    [(100, 1), (CHUNK_ROUNDS, 1), (2 * CHUNK_ROUNDS + 37, 7), (5 * CHUNK_ROUNDS + 20, None)],
-    ids=["below-one-chunk", "one-chunk", "not-a-chunk-multiple", "default-cadence"],
+    [(100, 1), (BLOCK_DRAWS, 1), (2 * BLOCK_DRAWS + 37, 7), (5 * BLOCK_DRAWS + 20, None)],
+    ids=["below-one-draw", "one-draw", "not-a-draw-multiple", "default-cadence"],
 )
 def test_run_equals_checked_steps(mode, rounds, record_every):
     config = RunConfig(
@@ -716,7 +716,7 @@ def growing_family():
 
 
 @pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
-def test_divergence_in_a_later_chunk_matches_checked_steps(mode):
+def test_divergence_after_a_later_draw_matches_checked_steps(mode):
     config = RunConfig(
         family=growing_family(),
         stepsize=PowerLawStepsize(0.05, 0.0, 1),
@@ -729,7 +729,7 @@ def test_divergence_in_a_later_chunk_matches_checked_steps(mode):
         **KERNEL_MODES[mode],
     )
     expected, blown, aborted = reference_run(config)
-    assert aborted is not None and aborted >= CHUNK_ROUNDS
+    assert aborted is not None and aborted >= BLOCK_DRAWS
     with pytest.raises(DivergenceError) as exc:
         run(config, validate=False)
     err = exc.value
