@@ -116,7 +116,11 @@ def _load_reference_arg(text: str) -> np.ndarray:
     if not path.exists():
         raise ConfigError(f"reference file {candidate!r} does not exist")
     try:
-        return np.asarray(json.loads(path.read_text()), dtype=np.float64)
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read reference file {candidate!r}: {e}") from e
+    try:
+        return np.asarray(json.loads(text), dtype=np.float64)
     except (json.JSONDecodeError, ValueError) as e:
         raise ConfigError(f"reference file {candidate!r} is not a JSON number list: {e}") from e
 
@@ -248,7 +252,10 @@ def cmd_export(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write config file: {e}") from e
         print(f"config written to {args.output}")
     return EXIT_OK
 

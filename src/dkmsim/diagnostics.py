@@ -7,6 +7,7 @@ cross-check the iteration against its averaged rewrite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,29 +19,70 @@ from .operators import OperatorFamily
 from .stepsize import PowerLawStepsize
 
 
+def _mean(states: NDArray[Float]) -> NDArray[Float]:
+    """states.mean(axis=0): the same sum and division, without its wrapper."""
+    return np.add.reduce(states, axis=0) / states.shape[0]
+
+
+def _max_row_norms(rows: NDArray[Float], runs: int = 1) -> list[float]:
+    """np.linalg.norm(run, axis=1).max() for each of `runs` equal runs of rows, bit for bit.
+
+    Squares rows in place, so pass a temporary. The squared sums are
+    np.linalg.norm's, add.reduce(rows * rows, axis=1). A correctly rounded
+    sqrt is monotone, so the root of the largest sum is the largest norm.
+    """
+    rows *= rows
+    squares = np.add.reduce(rows, axis=1).reshape(runs, -1)
+    return [math.sqrt(v) for v in np.maximum.reduce(squares, axis=1).tolist()]
+
+
+def _norm(v: NDArray[Float]) -> float:
+    """||v|| of a 1-D v, the steps np.linalg.norm(v) takes, without its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def mean_state(states) -> NDArray[Float]:
     """Agent average x_bar = (1/N) sum_i x_i."""
-    return as_states(states).mean(axis=0)
+    return _mean(as_states(states))
 
 
 def consensus_residual(states) -> float:
     """max_i ||x_i - x_bar||, the worst agent's distance to the average."""
     states = as_states(states)
-    dev = states - states.mean(axis=0)
-    return float(np.linalg.norm(dev, axis=1).max())
+    return _max_row_norms(states - _mean(states))[0]
 
 
 def fixed_point_residual(family: OperatorFamily, x) -> float:
     """||F(x) - x|| for the global operator F at a single point."""
-    x = as_point(x, family.n)
-    return float(np.linalg.norm(family.global_displacement(x)))
+    return _norm(family.global_displacement(x))
 
 
 def distance_to_reference(states, reference) -> float:
     """max_i ||x_i - x_star||."""
     states = as_states(states)
     reference = as_point(reference, states.shape[1])
-    return float(np.linalg.norm(states - reference, axis=1).max())
+    return _max_row_norms(states - reference)[0]
+
+
+def record_residuals(
+    family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None, tile: NDArray[Float]
+) -> tuple[float, float, float | None, float]:
+    """(consensus residual, fixed-point residual at the mean, distance to reference, max_i ||x_i||).
+
+    Bit for bit what consensus_residual, fixed_point_residual, distance_to_reference
+    (None without a reference) and np.linalg.norm(states, axis=1).max() give, but
+    unchecked: states must be a finite (rows, n) matrix, reference None or a finite
+    point, and tile an (N, n) scratch buffer for the family's N agents. The mean is
+    taken once, and one stacked pass takes every row norm.
+    """
+    xbar = _mean(states)
+    if reference is None:
+        worst = _max_row_norms(np.concatenate((states - xbar, states)), 2)
+    else:
+        worst = _max_row_norms(np.concatenate((states - xbar, states, states - reference)), 3)
+    tile[:] = xbar
+    fp = _norm(family.mean_displacement(tile))
+    return worst[0], fp, (worst[2] if reference is not None else None), worst[1]
 
 
 def weighted_block_norm(x, partition: BlockPartition, probabilities) -> float:

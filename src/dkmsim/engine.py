@@ -23,13 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .blocks import Float, as_point, as_states
-from .diagnostics import (
-    Trace,
-    TraceRecord,
-    consensus_residual,
-    distance_to_reference,
-    fixed_point_residual,
-)
+from .diagnostics import Trace, TraceRecord, record_residuals
 from .errors import AssumptionError, DimensionMismatchError, DivergenceError, ParameterError
 from .graphs import GraphSchedule, mix, validate_schedule
 from .operators import OperatorFamily, check_nonexpansive, estimate_displacement_bound
@@ -283,7 +277,8 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     shapes, and every alpha_k must lie in (0, 1]. Rounds then do the
     arithmetic of dkm_step / dbkm_step without their per-call checks, with
     block uniforms drawn BLOCK_DRAWS at a time; only recorded rounds do more.
-    The divergence guard runs every round.
+    The divergence guard runs every round. A record reuses the round's
+    alpha_k and takes its residuals with record_residuals, unchecked.
     """
     if validate:
         for report in validate_run(config):
@@ -307,21 +302,23 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         stepsize=config.stepsize,
     )
 
-    def make_record(k: int, block: int | None) -> TraceRecord:
-        xbar = states.mean(axis=0)
+    # every state that reaches a record is finite: RunConfig checked the init and
+    # reference, the divergence guard each round's result
+    tile = np.empty((family.n_agents, family.n))
+
+    def make_record(k: int, alpha: float, block: int | None) -> TraceRecord:
         snap = None
         if config.snapshot_every is not None and (k % config.snapshot_every == 0 or k == config.max_rounds):
             snap = states.copy()
+        consensus, fp, dist, top = record_residuals(family, states, config.reference, tile)
         return TraceRecord(
             k=k,
-            alpha_k=config.stepsize.alpha(k),
-            consensus_residual=consensus_residual(states),
-            fp_residual=fixed_point_residual(family, xbar),
-            dist_to_ref=(
-                distance_to_reference(states, config.reference) if config.reference is not None else None
-            ),
+            alpha_k=alpha,
+            consensus_residual=consensus,
+            fp_residual=fp,
+            dist_to_ref=dist,
             selected_block=block,
-            max_state_norm=float(np.linalg.norm(states, axis=1).max()),
+            max_state_norm=top,
             snapshot=snap,
         )
 
@@ -341,10 +338,10 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
                 # the same stream as one draw_block per round, a tenth of the cost
                 blocks = np.searchsorted(cumulative, rng.random(BLOCK_DRAWS), side="right").tolist()
             block = blocks[k % BLOCK_DRAWS]
+        alpha = alpha_at(k)
         # the default cadence keeps every round below 1000, then every ceil(k/1000)-th
         if (k < 1000 or k % -(-k // 1000) == 0) if record_every is None else k % record_every == 0:
-            trace.records.append(make_record(k, block))
-        alpha = alpha_at(k)
+            trace.records.append(make_record(k, alpha, block))
         if mode == "dkm":
             new = mats[k % period] @ states
             new += alpha * family.displacement_all(new)
@@ -352,8 +349,8 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             new = mats[k % period] @ states
             new[:, slices[block]] += alpha * family.displacement_block_all(block, new)
         else:
-            x = states[0]
-            new = (x + alpha * family.global_displacement(x))[None, :]
+            tile[:] = states
+            new = states + alpha * family.mean_displacement(tile)
         if not np.abs(new).max() <= limit:
             trace.aborted_at = k + 1
             # the first entry, row-major, that is non-finite or past the limit
@@ -361,6 +358,6 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             raise DivergenceError(k, trace, agent=agent, coordinate=coord, last_states=states)
         states = new
 
-    trace.records.append(make_record(config.max_rounds, None))
+    trace.records.append(make_record(config.max_rounds, alpha_at(config.max_rounds), None))
     trace.final_states = states
     return trace

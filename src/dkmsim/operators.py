@@ -215,6 +215,12 @@ class _BoxStack(_Stack):
     def __init__(self, ops):
         self.lower = np.stack([op.target_set.lower for op in ops])
         self.upper = np.stack([op.target_set.upper for op in ops])
+        # each block's bounds, keyed by the block's first coordinate (slices are unhashable before 3.12)
+        part = ops[0].partition
+        self.block_bounds = {
+            part.offsets[l]: (self.lower[:, part.block_slice(l)], self.upper[:, part.block_slice(l)])
+            for l in range(part.m)
+        }
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
         # ndarray.clip is what np.clip calls, minus the wrapper's per-call overhead
@@ -223,7 +229,8 @@ class _BoxStack(_Stack):
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
         # clamp only needs the block's own coordinates
         sub = states[:, sl]
-        return sub.clip(self.lower[:, sl], self.upper[:, sl]) - sub
+        lower, upper = self.block_bounds[sl.start]
+        return sub.clip(lower, upper) - sub
 
 
 class _BallStack(_Stack):
@@ -492,10 +499,16 @@ class OperatorFamily:
 
     # -- global operator F = (1/N) sum_i F_i
 
+    def mean_displacement(self, tiled: NDArray[Float]) -> NDArray[Float]:
+        """F(x) - x for x held in every row of the (N, n) matrix tiled; unchecked.
+
+        The sum and division of .mean(axis=0), without its wrapper.
+        """
+        return np.add.reduce(self.displacement_all(tiled), axis=0) / self.n_agents
+
     def global_displacement(self, x) -> NDArray[Float]:
         x = as_point(x, self.n)
-        tiled = np.repeat(x[None, :], self.n_agents, axis=0)
-        return self.displacement_all(tiled).mean(axis=0)
+        return self.mean_displacement(np.repeat(x[None, :], self.n_agents, axis=0))
 
     def global_evaluate(self, x) -> NDArray[Float]:
         """F(x), the agent average. Nonexpansive whenever every F_i is.

@@ -67,12 +67,12 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
         )
     if trace.aborted_at is not None:
         lines.append(f"# aborted at k={trace.aborted_at}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write trace file: {e}") from e
 
     snapshots = [rec for rec in trace.records if rec.snapshot is not None]
-    if not snapshots:
-        Path(snapshot_path).unlink(missing_ok=True)
-        return
     snap_lines = [SNAPSHOT_HEADER]
     for rec in snapshots:
         for agent in range(rec.snapshot.shape[0]):
@@ -80,7 +80,13 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
                 snap_lines.append(
                     f"{rec.k},{agent},{coord},{format(rec.snapshot[agent, coord], '.17g')}"
                 )
-    Path(snapshot_path).write_text("\n".join(snap_lines) + "\n")
+    try:
+        if snapshots:
+            Path(snapshot_path).write_text("\n".join(snap_lines) + "\n")
+        else:
+            Path(snapshot_path).unlink(missing_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write snapshot file: {e}") from e
 
 
 @dataclass

@@ -239,6 +239,14 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     ]
 
 
+def test_run_to_a_missing_directory_is_a_config_error(capsys, tmp_path):
+    target = tmp_path / "nodir" / "t.csv"
+    code, out, err = cli(capsys, "run", "paper-dkm-6", "--max-rounds", "10", "--output", str(target))
+    assert code == EXIT_PARSE
+    assert "trace written" not in out
+    assert err.splitlines() == [f"config error: cannot write trace file: [Errno 2] No such file or directory: '{target}'"]
+
+
 def test_run_missing_config(capsys, tmp_path):
     code, _, err = cli(capsys, "run", str(tmp_path / "ghost.yaml"))
     assert code == EXIT_PARSE
@@ -404,8 +412,9 @@ def _swap_agent_for_word(files):
             _drop_agent(5),
             "{snap}: round 100 holds a 5 x 3 snapshot, the trace header says 6 state rows x 3 coordinates",
         ),
+        ("{dir}", None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
     ],
-    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker", "missing-agent"],
+    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker", "missing-agent", "directory"],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, reference, edit, message):
     files = {"trace": dkm6_trace.read_text(), "snap": snapshot_path_for(dkm6_trace).read_text()}
@@ -414,12 +423,12 @@ def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, reference
     trace = tmp_path / "t.csv"
     trace.write_text(files["trace"])
     snapshot_path_for(trace).write_text(files["snap"])
-    argv = ["compare", str(trace)] + ([] if reference is None else ["--reference", reference])
+    argv = ["compare", str(trace)] + ([] if reference is None else ["--reference", reference.format(dir=tmp_path)])
     code, out, err = cli(capsys, *argv)
     assert code == EXIT_PARSE
     assert "final distance" not in out
     assert len(err.splitlines()) == 1
-    assert err.startswith("config error: " + message.format(trace=trace, snap=snapshot_path_for(trace)))
+    assert err.startswith("config error: " + message.format(trace=trace, snap=snapshot_path_for(trace), dir=tmp_path))
 
 
 def test_compare_tail_start_past_end(capsys, finished_trace):
@@ -454,3 +463,11 @@ def test_export_file_round_trips(capsys, tmp_path):
     scenario = scenario_from_config(load_config(out_path))
     assert scenario.config.family.n_agents == 6
     assert scenario.config.max_rounds == 20_000
+
+
+def test_export_to_a_missing_directory_is_a_config_error(capsys, tmp_path):
+    target = tmp_path / "nodir" / "x.yaml"
+    code, out, err = cli(capsys, "export", "paper-dkm-6", "--output", str(target))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.splitlines() == [f"config error: cannot write config file: [Errno 2] No such file or directory: '{target}'"]

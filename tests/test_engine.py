@@ -27,10 +27,13 @@ from dkmsim import (
     RunConfig,
     UniformInit,
     centralized_km,
+    consensus_residual,
     dbkm_step,
+    distance_to_reference,
     dkm_step,
     draw_block,
     estimate_displacement_bound,
+    fixed_point_residual,
     initial_states,
     mix,
     ring_schedule,
@@ -699,6 +702,42 @@ def test_run_equals_checked_steps(mode, rounds, record_every):
     trace = run(config)
     assert np.array_equal(trace.final_states, final)
     assert_records_match(trace, expected)
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@pytest.mark.parametrize("reference", [None, np.array([0.5, -1.0, 2.0, 0.0])], ids=["no-reference", "reference"])
+def test_records_equal_the_public_diagnostics(mode, reference):
+    # five agents: dividing by a power of two would hide a mean taken as sum * (1/N)
+    family = mixed_family(n_agents=5)
+    config = RunConfig(
+        family=family,
+        stepsize=STEP,
+        schedule=ring_schedule(5, 2, 0.5),
+        max_rounds=300,
+        seed=5,
+        reference=reference,
+        record_every=1,
+        snapshot_every=1,
+        **KERNEL_MODES[mode],
+    )
+    trace = run(config)
+    assert [rec.k for rec in trace.records] == list(range(config.max_rounds + 1))
+    for rec in trace.records:
+        states = rec.snapshot
+        xbar = states.mean(axis=0)
+        assert rec.alpha_k == STEP.alpha(rec.k)
+        assert rec.consensus_residual == consensus_residual(states)
+        assert rec.fp_residual == fixed_point_residual(family, xbar)
+        assert rec.max_state_norm == np.linalg.norm(states, axis=1).max()
+        if reference is None:
+            assert rec.dist_to_ref is None
+        else:
+            assert rec.dist_to_ref == distance_to_reference(states, reference)
+            assert rec.dist_to_ref == np.linalg.norm(states - reference, axis=1).max()
+        # the public diagnostics are np.linalg.norm of the defining expressions, bit for bit
+        assert rec.consensus_residual == np.linalg.norm(states - xbar, axis=1).max()
+        tiled = np.repeat(xbar[None, :], family.n_agents, axis=0)
+        assert rec.fp_residual == np.linalg.norm(family.displacement_all(tiled).mean(axis=0))
 
 
 def growing_family():
