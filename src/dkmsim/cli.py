@@ -20,7 +20,7 @@ from .diagnostics import fixed_point_residual
 from .engine import run, validate_full
 from .errors import ConfigError, DivergenceError, DkmsimError
 from .scenarios import PRESET_NAMES, Scenario, build_preset
-from .tracefile import read_snapshots, read_trace, snapshot_path_for, write_trace
+from .tracefile import check_trace_path, read_snapshots, read_trace, snapshot_path_for, write_trace
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -58,6 +58,7 @@ def cmd_run(args) -> int:
     config = scenario.config
     if args.output is not None:
         trace_path = args.output
+    check_trace_path(trace_path)
 
     if not args.skip_validate:
         reports = validate_full(config)
@@ -70,11 +71,15 @@ def cmd_run(args) -> int:
     try:
         trace = run(config, validate=False)
     except DivergenceError as e:
-        write_trace(e.trace, trace_path)
-        print(
-            f"diverged after round {e.last_round} at agent {e.agent}, coordinate {e.coordinate};"
-            f" partial trace written to {trace_path}"
-        )
+        where = f"diverged after round {e.last_round} at agent {e.agent}, coordinate {e.coordinate}"
+        try:
+            write_trace(e.trace, trace_path)
+        except ConfigError as err:
+            # the divergence is the run's outcome; the lost trace is reported beside it
+            print(f"{where}; partial trace not written")
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_DIVERGENCE
+        print(f"{where}; partial trace written to {trace_path}")
         return EXIT_DIVERGENCE
 
     write_trace(trace, trace_path)

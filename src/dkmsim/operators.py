@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .blocks import BlockPartition, Float, as_point
+from .blocks import BlockPartition, Float, as_point, as_states
 from .errors import DimensionMismatchError, ParameterError
 from .validation import ValidationReport, Violation, failed, passed
 
@@ -182,11 +182,22 @@ SmoothObjective = Quadratic | Huber
 # operator kinds, stacked over groups of agents
 
 
+def _row_norms(d: NDArray[Float]) -> NDArray[Float]:
+    """Euclidean norm of each row along the last axis.
+
+    A row @ column matmul is the dot product np.linalg.norm takes of a single
+    point, so each entry equals norm(row) bitwise; norm(d, axis=-1) sums in
+    another order and moves the last ulp.
+    """
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+
+
 class _Stack:
     """One operator kind over G agents, parameters stacked on axis 0.
 
-    Methods map (G, n) states, row g for member g, to (G, n) or, for a
-    block, (G, block width). A kind overrides evaluate or displacement, and
+    Methods map (..., G, n) states, row g for member g, to (..., G, n) or,
+    for a block, (..., G, block width); leading batch axes broadcast against
+    the (G, ...) parameters. A kind overrides evaluate or displacement, and
     the block form where slicing first is cheaper.
     """
 
@@ -200,7 +211,7 @@ class _Stack:
         return self.evaluate(states) - states
 
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
-        return self.displacement(states)[:, sl]
+        return self.displacement(states)[..., sl]
 
 
 class _IdentityStack(_Stack):
@@ -228,7 +239,7 @@ class _BoxStack(_Stack):
 
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
         # clamp only needs the block's own coordinates
-        sub = states[:, sl]
+        sub = states[..., sl]
         lower, upper = self.block_bounds[sl.start]
         return sub.clip(lower, upper) - sub
 
@@ -239,14 +250,13 @@ class _BallStack(_Stack):
         self.radius = np.array([op.target_set.radius for op in ops])
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
-        # the scaling factor depends on the whole vector, so blocks slice the full
-        # result. A row @ column matmul is the dot product np.linalg.norm takes of
-        # a single point; norm(d, axis=1) sums in another order and moves the last ulp.
+        # the scaling factor depends on the whole vector, so blocks slice the full result
         d = states - self.center
-        nrm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        nrm = _row_norms(d)
         out = states.copy()
         far = nrm > self.radius
-        out[far] = self.center[far] + (self.radius[far] / nrm[far])[:, None] * d[far]
+        member = far.nonzero()[-1]
+        out[far] = self.center[member] + (self.radius[member] / nrm[far])[:, None] * d[far]
         return out
 
 
@@ -261,8 +271,8 @@ class _QuadraticStepStack(_Stack):
         # (-tau) * A^T (A x - b), never F(x) - x, so no cancellation. Stacked
         # matmul runs the same matrix-vector product per agent as a 2-D A @ x;
         # einsum sums in another order and moves the last ulp.
-        resid = np.matmul(self.matrix, states[:, :, None]) - self.target
-        return self.neg_tau * np.matmul(self.matrix_t, resid)[:, :, 0]
+        resid = np.matmul(self.matrix, states[..., None]) - self.target
+        return self.neg_tau * np.matmul(self.matrix_t, resid)[..., 0]
 
 
 class _HuberStepStack(_Stack):
@@ -283,10 +293,10 @@ class _AffineStack(_Stack):
 
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
         # theta * (r - R x), algebraically F(x) - x without the cancellation
-        return self.theta * (self.offset - np.einsum("ijk,ik->ij", self.matrix, states))
+        return self.theta * (self.offset - np.einsum("ijk,...ik->...ij", self.matrix, states))
 
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
-        rows = np.einsum("ijk,ik->ij", self.matrix[:, sl, :], states)
+        rows = np.einsum("ijk,...ik->...ij", self.matrix[:, sl, :], states)
         return self.theta * (self.offset[:, sl] - rows)
 
 
@@ -297,10 +307,10 @@ class _MixedStack(_Stack):
         self.groups = groups
 
     def _scatter(self, states: NDArray[Float], apply) -> NDArray[Float]:
-        parts = [(rows, apply(group, states[rows])) for rows, group in self.groups]
-        out = np.empty((states.shape[0], parts[0][1].shape[1]))
+        parts = [(rows, apply(group, states[..., rows, :])) for rows, group in self.groups]
+        out = np.empty(states.shape[:-1] + parts[0][1].shape[-1:])
         for rows, part in parts:
-            out[rows] = part
+            out[..., rows, :] = part
         return out
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
@@ -486,7 +496,7 @@ class OperatorFamily:
     # -- stacked paths (engine hot loop; shapes validated by caller)
 
     def displacement_all(self, states: NDArray[Float]) -> NDArray[Float]:
-        """Row i is F_i(states[i]) - states[i]. states is (N, n)."""
+        """Row i is F_i(states[i]) - states[i]. states is (N, n), or (..., N, n) with batch axes."""
         return self._stack.displacement(states)
 
     def displacement_block_all(self, l: int, states: NDArray[Float]) -> NDArray[Float]:
@@ -494,7 +504,7 @@ class OperatorFamily:
         return self._stack.displacement_block(self.partition.block_slice(l), states)
 
     def evaluate_all(self, states: NDArray[Float]) -> NDArray[Float]:
-        """Row i is F_i(states[i])."""
+        """Row i is F_i(states[i]); batch axes as in displacement_all."""
         return self._stack.evaluate(states)
 
     # -- global operator F = (1/N) sum_i F_i
@@ -516,12 +526,10 @@ class OperatorFamily:
         A one-member family reproduces its local operator exactly.
         """
         x = as_point(x, self.n)
-        if self.n_agents == 1:
-            return self.operators[0].evaluate(x)
         tiled = np.repeat(x[None, :], self.n_agents, axis=0)
         return self.evaluate_all(tiled).mean(axis=0)
 
-    # alias so the sampled checker accepts a family anywhere an operator fits
+    # alias so a family fits anywhere a local operator does
     def evaluate(self, x) -> NDArray[Float]:
         return self.global_evaluate(x)
 
@@ -531,12 +539,37 @@ class OperatorFamily:
 
 
 def uniform_box_sampler(n: int, low: float = -10.0, high: float = 10.0):
-    """Default point sampler: uniform on [low, high]^n."""
+    """Default point sampler: size points uniform on [low, high]^n, shape (size, n).
 
-    def sample(rng: np.random.Generator) -> NDArray[Float]:
-        return rng.uniform(low, high, n)
+    A sampler is called as sampler(rng, size). One call draws the same stream,
+    row by row, as size calls of rng.uniform(low, high, n).
+    """
+
+    def sample(rng: np.random.Generator, size: int) -> NDArray[Float]:
+        return rng.uniform(low, high, (size, n))
 
     return sample
+
+
+def pair_norms(points: NDArray[Float], images: NDArray[Float], tol: float) -> tuple[NDArray[Float], NDArray[Float]]:
+    """Both sides of the nonexpansiveness test for sampled pairs.
+
+    points holds the pairs interleaved on axis 0 (x_p in row 2p, y_p in row
+    2p + 1), images their F values, both (2P, ..., n). Returns
+    lhs = ||F(x_p) - F(y_p)|| and rhs = ||x_p - y_p|| * (1 + tol) + tol, each
+    (P, ...), equal bitwise to the same sums taken one pair at a time.
+    """
+    lhs = _row_norms(images[0::2] - images[1::2])
+    rhs = _row_norms(points[0::2] - points[1::2]) * (1.0 + tol) + tol
+    return lhs, rhs
+
+
+def pair_violations(lhs: NDArray[Float], rhs: NDArray[Float]) -> list[Violation]:
+    """One Violation per pair with lhs > rhs, in pair order; lhs and rhs are (P,)."""
+    return [
+        Violation(f"pair {p}", f"||F(x)-F(y)|| = {lhs[p]:.12g} exceeds ||x-y|| = {rhs[p]:.12g}")
+        for p in np.flatnonzero(lhs > rhs).tolist()
+    ]
 
 
 def check_nonexpansive(
@@ -548,23 +581,18 @@ def check_nonexpansive(
 ) -> ValidationReport:
     """Sampled nonexpansiveness check on an operator or a family's average.
 
-    Draws num_pairs point pairs and flags every pair with
-    ||F(x) - F(y)|| > ||x - y|| * (1 + tol) + tol. Samples can only refute,
+    Draws num_pairs point pairs with one sampler(rng, 2 * num_pairs) call and
+    flags every pair with ||F(x) - F(y)|| > ||x - y|| * (1 + tol) + tol.
+    All points are evaluated in one stacked call. Samples can only refute,
     never prove; constructors enforce the analytic bounds.
     """
     if sampler is None:
         sampler = uniform_box_sampler(op.n)
-    rng = np.random.default_rng(seed)
-    violations = []
-    for p in range(num_pairs):
-        x = sampler(rng)
-        y = sampler(rng)
-        lhs = float(np.linalg.norm(op.evaluate(x) - op.evaluate(y)))
-        rhs = float(np.linalg.norm(x - y)) * (1.0 + tol) + tol
-        if lhs > rhs:
-            violations.append(
-                Violation(f"pair {p}", f"||F(x)-F(y)|| = {lhs:.12g} exceeds ||x-y|| = {rhs:.12g}")
-            )
+    points = as_states(sampler(np.random.default_rng(seed), 2 * num_pairs), 2 * num_pairs, op.n)
+    # a local operator is the average of its one-member family, exactly
+    family = op if isinstance(op, OperatorFamily) else OperatorFamily([op])
+    images = family.evaluate_all(np.repeat(points[:, None, :], family.n_agents, axis=1)).mean(axis=1)
+    violations = pair_violations(*pair_norms(points, images, tol))
     name = "operator: sampled nonexpansiveness"
     if violations:
         return failed(name, violations, f"{len(violations)}/{num_pairs} pairs violate")
@@ -579,16 +607,13 @@ def estimate_displacement_bound(
 ) -> float:
     """Empirical max_i ||F_i(x) - x|| over sampled points.
 
-    A sampled maximum is a lower bound on the true supremum; validate_full
-    reports it as a diagnostic.
+    Draws all points in one sampler(rng, num_points) call and takes every
+    agent's displacement at every point in one stacked (num_points, N, n)
+    call. A sampled maximum is a lower bound on the true supremum;
+    validate_full reports it as a diagnostic.
     """
     if sampler is None:
         sampler = uniform_box_sampler(family.n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(num_points):
-        x = sampler(rng)
-        tiled = np.repeat(x[None, :], family.n_agents, axis=0)
-        norms = np.linalg.norm(family.displacement_all(tiled), axis=1)
-        worst = max(worst, float(norms.max()))
-    return worst
+    points = as_states(sampler(np.random.default_rng(seed), num_points), num_points, family.n)
+    tiled = np.repeat(points[:, None, :], family.n_agents, axis=1)
+    return float(np.linalg.norm(family.displacement_all(tiled), axis=-1).max(initial=0.0))

@@ -109,7 +109,9 @@ def oracle_distance_minimizer(
     The mean of projections is an averaged operator, so the plain fixed-point
     iteration converges; it stops when successive iterates differ by less
     than tol. This is gradient descent with unit step on the half-mean of
-    squared distances, computed without the simulator.
+    squared distances, computed without the simulator: each iteration clips
+    x into all boxes at once and projects onto all balls at once, with the
+    arithmetic of Box.project and Ball.project.
     """
     if len(sets) == 0:
         raise ParameterError("need at least one set")
@@ -117,16 +119,27 @@ def oracle_distance_minimizer(
     for s in sets:
         if s.n != n:
             raise ParameterError("sets live in different dimensions")
-    # start from the mean of the sets' natural centers
-    centers = []
-    for s in sets:
-        if isinstance(s, Box):
-            centers.append(0.5 * (s.lower + s.upper))
-        else:
-            centers.append(s.center)
-    x = np.mean(centers, axis=0)
+    is_box = np.array([isinstance(s, Box) for s in sets])
+    boxes, balls = np.flatnonzero(is_box), np.flatnonzero(~is_box)
+    lower = np.array([sets[i].lower for i in boxes]).reshape(-1, n)
+    upper = np.array([sets[i].upper for i in boxes]).reshape(-1, n)
+    center = np.array([sets[i].center for i in balls]).reshape(-1, n)
+    radius = np.array([sets[i].radius for i in balls])
+    # row i is X_i's projection of x, in set order; it starts at the set's natural center
+    proj = np.empty((len(sets), n))
+    proj[boxes] = 0.5 * (lower + upper)
+    proj[balls] = center
+    x = proj.mean(axis=0)
     for _ in range(max_iters):
-        nxt = np.mean([s.project(x) for s in sets], axis=0)
+        proj[boxes] = np.clip(x, lower, upper)
+        if len(balls):
+            d = x - center
+            # the dot product np.linalg.norm takes of one vector, row by row
+            nrm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+            far = nrm > radius
+            proj[balls] = x
+            proj[balls[far]] = center[far] + (radius[far] / nrm[far])[:, None] * d[far]
+        nxt = proj.mean(axis=0)
         if float(np.linalg.norm(nxt - x)) < tol:
             return nxt
         x = nxt

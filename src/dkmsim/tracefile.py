@@ -10,6 +10,7 @@ go to a separate file with header `k,agent,coord_index,value`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,22 @@ def _fmt(value: float | None) -> str:
 def snapshot_path_for(trace_path) -> Path:
     p = Path(trace_path)
     return p.with_name(p.stem + ".snapshots" + (p.suffix or ".csv"))
+
+
+def check_trace_path(path) -> None:
+    """Refuse a trace path that cannot be written, before a run spends any work.
+
+    Opens the file for appending, which neither truncates nor writes it, and
+    removes it again if the probe created it. The refusal is the ConfigError
+    write_trace would raise at the same path.
+    """
+    existed = os.path.lexists(path)
+    try:
+        Path(path).open("a").close()
+    except OSError as e:
+        raise ConfigError(f"cannot write trace file: {e}") from e
+    if not existed:
+        Path(path).unlink()
 
 
 def write_trace(trace: Trace, path, snapshot_path=None) -> None:

@@ -5,8 +5,10 @@ import json
 import pytest
 import yaml
 
+import dkmsim.cli
 from dkmsim import load_config, read_trace, save_config, scenario_from_config, snapshot_path_for
 from dkmsim.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from dkmsim.errors import DivergenceError
 
 
 def cli(capsys, *argv):
@@ -244,6 +246,63 @@ def test_run_to_a_missing_directory_is_a_config_error(capsys, tmp_path):
     code, out, err = cli(capsys, "run", "paper-dkm-6", "--max-rounds", "10", "--output", str(target))
     assert code == EXIT_PARSE
     assert "trace written" not in out
+    assert err.splitlines() == [f"config error: cannot write trace file: [Errno 2] No such file or directory: '{target}'"]
+
+
+def test_unwritable_trace_path_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    def entered(*args, **kwargs):
+        raise AssertionError("the run was entered with an unwritable trace path")
+
+    monkeypatch.setattr(dkmsim.cli, "validate_full", entered)
+    monkeypatch.setattr(dkmsim.cli, "run", entered)
+    target = tmp_path / "nodir" / "t.csv"
+    code, out, err = cli(capsys, "run", "paper-dbkm-100", "--output", str(target))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.splitlines() == [f"config error: cannot write trace file: [Errno 2] No such file or directory: '{target}'"]
+
+
+def test_trace_path_check_keeps_an_old_trace(capsys, tmp_path):
+    # the check before validation neither truncates nor rewrites a trace already there
+    doc = base_doc(tmp_path / "t.csv")
+    doc["stepsize"]["gamma"] = 0.4
+    path = tmp_path / "bad.yaml"
+    save_config(doc, path)
+    (tmp_path / "t.csv").write_text("old\n")
+    code, _, _ = cli(capsys, "run", str(path))
+    assert code == EXIT_VALIDATION
+    assert (tmp_path / "t.csv").read_text() == "old\n"
+
+
+def test_divergence_with_an_unwritable_trace_keeps_the_report(capsys, tmp_path, monkeypatch):
+    # the doubling config of test_run_divergence_exit_code; its directory vanishes mid-run
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "d.csv"
+    doc = {
+        "problem": {"kind": "consensus", "agents": 1, "dimension": 1},
+        "graph": {"matrices": [[[2.0]]], "window": 1, "weight_floor": 0.4},
+        "stepsize": {"gamma": 0.7},
+        "run": {"mode": "dkm", "max_rounds": 500, "seed": 0},
+        "output": {"trace": str(target)},
+    }
+    path = tmp_path / "doubling.yaml"
+    save_config(doc, path)
+    real_run = dkmsim.cli.run
+    rounds = []
+
+    def run_then_lose_the_directory(*args, **kwargs):
+        out_dir.rmdir()
+        try:
+            return real_run(*args, **kwargs)
+        except DivergenceError as e:
+            rounds.append(e.last_round)
+            raise
+
+    monkeypatch.setattr(dkmsim.cli, "run", run_then_lose_the_directory)
+    code, out, err = cli(capsys, "run", str(path), "--skip-validate")
+    assert code == EXIT_DIVERGENCE
+    assert out.splitlines() == [f"diverged after round {rounds[0]} at agent 0, coordinate 0; partial trace not written"]
     assert err.splitlines() == [f"config error: cannot write trace file: [Errno 2] No such file or directory: '{target}'"]
 
 

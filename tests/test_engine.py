@@ -50,8 +50,15 @@ from dkmsim.errors import (
     ParameterError,
 )
 from dkmsim.graphs import GraphSchedule
+from dkmsim.operators import NONEXPANSIVE_TOL, pair_norms, uniform_box_sampler
+from dkmsim.scenarios import build_preset
 
-from oracles import matrix_power_states
+from oracles import (
+    matrix_power_states,
+    pairwise_nonexpansive,
+    pointwise_displacement_bound,
+    sampled_check_lines,
+)
 
 STEP = PowerLawStepsize(1.0, 0.7, 1)
 
@@ -497,6 +504,49 @@ def test_validate_full_catches_forced_invalid_operator():
     bad_reports = [r for r in reports if not r.passed]
     assert len(bad_reports) == 1
     assert "nonexpansive" in bad_reports[0].check
+
+
+def invalid_affine_family():
+    """Forced-invalid affines and one identity; every operator but the identity, and
+    the average x -> -1.25 x, violate on many pairs."""
+    part = BlockPartition.single(2)
+    bad = [Affine(part, np.eye(2), np.zeros(2), theta=t, validate=False) for t in (3.0, 2.8, 3.2)]
+    return OperatorFamily([bad[0], Identity(part), bad[1], bad[2]])
+
+
+@pytest.mark.parametrize(
+    "make_config, num_pairs",
+    [
+        (lambda: RunConfig(family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5)), 200),
+        (lambda: RunConfig(family=invalid_affine_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5)), 100),
+        (lambda: build_preset("paper-dbkm-100").config, 200),
+    ],
+    ids=["mixed", "invalid-affines", "paper-dbkm-100"],
+)
+def test_validate_full_matches_pairwise_reference(make_config, num_pairs):
+    config = make_config()
+    family = config.family
+    *_, check, bound = validate_full(config, num_pairs=num_pairs, num_points=150, seed=2)
+    expected = sampled_check_lines(family, num_pairs, seed=2)
+    assert [(v.where, v.message) for v in check.violations] == expected
+    assert check.passed == (not expected)
+    reference_bound = pointwise_displacement_bound(family, 150, seed=2)
+    assert bound.detail == f"max_i ||F_i(x) - x|| >= {reference_bound:.6g} over 150 sampled points"
+    # every local's pairs, stacked as validate_full stacks them, bitwise against one pair at a time
+    sampler = uniform_box_sampler(family.n)
+    points = np.stack([sampler(np.random.default_rng(2 + i), 2 * num_pairs) for i in range(family.n_agents)], axis=1)
+    lhs, rhs = pair_norms(points, family.evaluate_all(points), NONEXPANSIVE_TOL)
+    for i, op in enumerate(family.operators):
+        ref_lhs, ref_rhs = pairwise_nonexpansive(op.evaluate, family.n, num_pairs, NONEXPANSIVE_TOL, seed=2 + i)
+        assert np.array_equal(lhs[:, i], ref_lhs)
+        assert np.array_equal(rhs[:, i], ref_rhs)
+
+
+def test_validate_full_reports_three_pairs_per_violating_operator():
+    config = RunConfig(family=invalid_affine_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5))
+    check = validate_full(config, num_pairs=100)[-2]
+    wheres = [v.where.split(",")[0] for v in check.violations]
+    assert wheres == ["operator 0"] * 3 + ["operator 2"] * 3 + ["operator 3"] * 3 + ["global average"] * 3
 
 
 # ---------------------------------------------------------------------------

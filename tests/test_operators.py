@@ -23,8 +23,16 @@ from dkmsim import (
     uniform_box_sampler,
 )
 from dkmsim.errors import DimensionMismatchError, ParameterError
+from dkmsim.operators import pair_norms
 
-from oracles import fd_gradient, grid_max_displacement, power_iteration_norm
+from oracles import (
+    fd_gradient,
+    grid_max_displacement,
+    pairwise_nonexpansive,
+    pointwise_displacement_bound,
+    power_iteration_norm,
+    violation_lines,
+)
 
 
 def ulps_apart(a, b):
@@ -523,3 +531,75 @@ def test_huber_step_displacement_bound():
     gridded = grid_max_displacement(op.displacement, [-2, -2], [2, 2], 61)
     assert sampled <= np.sqrt(2) + 1e-12
     assert gridded == pytest.approx(np.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# stacked sampled checks against the one-pair-at-a-time reference
+
+
+def checker_families():
+    """Every single-kind family, plus the six-kind catalog as one mixed family."""
+    part, cases = stacked_kind_cases()
+    families = {kind: OperatorFamily(ops) for kind, (ops, _, _) in cases.items()}
+    families["mixed"] = OperatorFamily(sample_catalog(BlockPartition((2, 3))))
+    return families
+
+
+@pytest.mark.parametrize("kind", ["identity", "box", "ball", "quadratic", "huber", "affine", "mixed"])
+def test_batch_axes_match_per_slice_evaluation(kind):
+    family = checker_families()[kind]
+    part = family.partition
+    rng = np.random.default_rng(43)
+    for lead in ((7,), (2, 3)):
+        states = rng.uniform(-5, 5, lead + (family.n_agents, part.n))
+        evals = family.evaluate_all(states)
+        disp = family.displacement_all(states)
+        blocks = [family.displacement_block_all(l, states) for l in range(part.m)]
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(evals[idx], family.evaluate_all(states[idx]))
+            assert np.array_equal(disp[idx], family.displacement_all(states[idx]))
+            for l in range(part.m):
+                assert np.array_equal(blocks[l][idx], family.displacement_block_all(l, states[idx]))
+
+
+def test_one_sampler_draw_equals_per_point_draws():
+    sampler = uniform_box_sampler(3, -2.0, 5.0)
+    drawn = sampler(np.random.default_rng(4), 400)
+    rng = np.random.default_rng(4)
+    assert drawn.shape == (400, 3)
+    assert np.array_equal(drawn, np.array([rng.uniform(-2.0, 5.0, 3) for _ in range(400)]))
+
+
+def checked_operators():
+    """The catalog's kinds one by one, the forced-invalid affine, the catalog's average."""
+    catalog = sample_catalog(BlockPartition((2, 3)))
+    ops = dict(zip(["identity", "box", "ball", "quadratic", "huber", "affine"], catalog))
+    ops["invalid-affine"] = Affine(BlockPartition.single(2), np.eye(2), np.zeros(2), theta=3.0, validate=False)
+    ops["mixed-average"] = OperatorFamily(catalog)
+    return ops
+
+
+@pytest.mark.parametrize("tol", [1e-12, -0.5], ids=["default-tol", "most-pairs-violate"])
+@pytest.mark.parametrize("name", list(checked_operators()))
+def test_stacked_check_matches_pairwise_reference(name, tol):
+    op = checked_operators()[name]
+    report = check_nonexpansive(op, num_pairs=1000, tol=tol, seed=3)
+    lhs, rhs = pairwise_nonexpansive(op.evaluate, op.n, 1000, tol, seed=3)
+    expected = violation_lines(lhs, rhs)
+    assert [(v.where, v.message) for v in report.violations] == expected
+    assert report.passed == (not expected)
+    # every pair's two sides, not just the violating ones, bitwise
+    points = uniform_box_sampler(op.n)(np.random.default_rng(3), 2000)
+    family = op if isinstance(op, OperatorFamily) else OperatorFamily([op])
+    tiled = np.repeat(points[:, None, :], family.n_agents, axis=1)
+    stacked_lhs, stacked_rhs = pair_norms(points, family.evaluate_all(tiled).mean(axis=1), tol)
+    assert np.array_equal(stacked_lhs, lhs)
+    assert np.array_equal(stacked_rhs, rhs)
+
+
+@pytest.mark.parametrize("kind", ["identity", "box", "ball", "quadratic", "huber", "affine", "mixed"])
+def test_stacked_displacement_bound_matches_pointwise_reference(kind):
+    family = checker_families()[kind]
+    assert estimate_displacement_bound(family, num_points=300, seed=5) == pointwise_displacement_bound(
+        family, 300, seed=5
+    )

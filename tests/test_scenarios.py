@@ -34,7 +34,7 @@ from dkmsim.errors import ParameterError
 from dkmsim.graphs import GraphSchedule
 from dkmsim.scenarios import PRESET_NAMES
 
-from oracles import grid_argmin_1d
+from oracles import grid_argmin_1d, mean_projection_fixed_point
 
 STEP = PowerLawStepsize(1.0, 0.7, 1)
 
@@ -116,6 +116,27 @@ def test_distance_minimizer_mixed_sets_reaches_fixed_point():
     x = oracle_distance_minimizer(sets)
     mean_proj = np.mean([s.project(x) for s in sets], axis=0)
     assert np.linalg.norm(mean_proj - x) < 1e-10
+
+
+def mixed_sets_3d():
+    """Small balls around a box and a big ball in R^3; the big ball and the box
+    hold the limit, the small balls do not.
+
+    Few sets, so a last-ulp change in one ball's projection reaches the mean.
+    """
+    rng = np.random.default_rng(1)
+    small = [Ball(rng.uniform(-3.0, 3.0, 3), rng.uniform(0.2, 1.0)) for _ in range(3)]
+    return [small[0], Box(-np.ones(3), np.ones(3)), small[1], Ball(np.zeros(3), 4.0), small[2]]
+
+
+@pytest.mark.parametrize(
+    "make_sets",
+    [lambda: staircase_boxes(6), lambda: staircase_boxes(100), mixed_sets_3d],
+    ids=["staircase-6", "staircase-100", "mixed-boxes-and-balls"],
+)
+def test_stacked_distance_oracle_equals_per_set_loop(make_sets):
+    sets = make_sets()
+    assert np.array_equal(oracle_distance_minimizer(sets), mean_projection_fixed_point(sets))
 
 
 def test_distance_minimizer_input_guards():
