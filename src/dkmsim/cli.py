@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 import yaml
 
 from .config import load_config, scenario_from_config, scenario_to_config, trace_path_from_config
-from .diagnostics import fixed_point_residual
+from .diagnostics import TraceRecord, distance_to_reference, fit_consensus_rate, fixed_point_residual
 from .engine import run, validate_full
 from .errors import ConfigError, DivergenceError, DkmsimError
 from .scenarios import PRESET_NAMES, Scenario, build_preset
@@ -88,12 +89,16 @@ def cmd_run(args) -> int:
     print(f"trace written to {trace_path}")
     if any(rec.snapshot is not None for rec in trace.records):
         print(f"snapshots written to {snapshot_path_for(trace_path)}")
+    _print_final(last, last.dist_to_ref)
+    return EXIT_OK
+
+
+def _print_final(last: TraceRecord, dist: float | None) -> None:
     print(f"final consensus residual: {last.consensus_residual:.6g}")
     if last.fp_residual is not None:
         print(f"final fixed-point residual: {last.fp_residual:.6g}")
-    if last.dist_to_ref is not None:
-        print(f"final distance to reference: {last.dist_to_ref:.6g}")
-    return EXIT_OK
+    if dist is not None:
+        print(f"final distance to reference: {dist:.6g}")
 
 
 def cmd_oracle(args) -> int:
@@ -111,33 +116,35 @@ def cmd_oracle(args) -> int:
 
 def _load_reference_arg(text: str) -> np.ndarray:
     """--reference accepts inline JSON like "[1.0, 2.0]" or a JSON/YAML file path."""
-    candidate = text.strip()
-    if candidate.startswith("["):
+    source = text.strip()
+    what = "inline reference"
+    if not source.startswith("["):
+        what = f"reference file {source!r}"
+        if not Path(source).exists():
+            raise ConfigError(f"{what} does not exist")
         try:
-            return np.asarray(json.loads(candidate), dtype=np.float64)
-        except (json.JSONDecodeError, ValueError) as e:
-            raise ConfigError(f"inline reference is not a JSON number list: {e}") from e
-    path = Path(candidate)
-    if not path.exists():
-        raise ConfigError(f"reference file {candidate!r} does not exist")
+            source = Path(source).read_text()
+        except OSError as e:
+            raise ConfigError(f"cannot read {what}: {e}") from e
     try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read reference file {candidate!r}: {e}") from e
-    try:
-        return np.asarray(json.loads(text), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError) as e:
-        raise ConfigError(f"reference file {candidate!r} is not a JSON number list: {e}") from e
+        reference = np.asarray(json.loads(source), dtype=np.float64)
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError; a JSON object is a TypeError
+        raise ConfigError(f"{what} is not a JSON number list: {e}") from e
+    if not np.all(np.isfinite(reference)):
+        raise ConfigError(f"reference has non-finite entries: {reference.tolist()}")
+    return reference
 
 
 def cmd_compare(args) -> int:
-    parsed = read_trace(args.trace)
-    if not parsed.rows:
+    if args.max_dist is not None and not math.isfinite(args.max_dist):
+        raise ConfigError(f"--max-dist must be finite, got {args.max_dist}")
+    trace = read_trace(args.trace)
+    if not trace.records:
         print("trace has no data rows")
         return EXIT_PARSE
-    last = parsed.rows[-1]
-    if parsed.aborted_at is not None:
-        print(f"note: run aborted at k={parsed.aborted_at}")
+    last = trace.records[-1]
+    if trace.aborted_at is not None:
+        print(f"note: run aborted at k={trace.aborted_at}")
 
     final_dist = last.dist_to_ref
     if args.reference is not None:
@@ -152,7 +159,7 @@ def cmd_compare(args) -> int:
             print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
             return EXIT_PARSE
         # read_snapshots makes every round the same shape, so one round settles it
-        shape, got = parsed.state_shape(), snaps[k_last].shape
+        shape, got = trace.state_shape, snaps[k_last].shape
         if got != shape:
             raise ConfigError(
                 f"{snap_file}: round {k_last} holds a {got[0]} x {got[1]} snapshot,"
@@ -162,25 +169,18 @@ def cmd_compare(args) -> int:
             raise ConfigError(
                 f"reference has shape {reference.shape}, snapshots in {snap_file} have {shape[1]} coordinates"
             )
-        final_dist = float(np.linalg.norm(snaps[k_last] - reference, axis=1).max())
+        final_dist = distance_to_reference(snaps[k_last], reference)
         print(f"distance recomputed from snapshot at k={k_last}")
 
-    tail_start = args.tail_start
-    if tail_start is None:
-        tail_start = parsed.max_rounds() // 10
-    stepsize = parsed.stepsize()
-    tail = [r for r in parsed.rows if r.k >= tail_start]
-    if not tail:
+    tail_start = trace.max_rounds // 10 if args.tail_start is None else args.tail_start
+    # rounds increase, so the tail is empty exactly when the last round precedes it
+    if last.k < tail_start:
         print(f"no recorded rounds at or after tail_start={tail_start}")
         return EXIT_PARSE
-    fitted = max(r.consensus_residual / stepsize.alpha_half(r.k) for r in tail)
+    fitted = fit_consensus_rate(trace, tail_start)
 
     print(f"final round: {last.k}")
-    print(f"final consensus residual: {last.consensus_residual:.6g}")
-    if last.fp_residual is not None:
-        print(f"final fixed-point residual: {last.fp_residual:.6g}")
-    if final_dist is not None:
-        print(f"final distance to reference: {final_dist:.6g}")
+    _print_final(last, final_dist)
     print(f"fitted consensus rate constant (tail from k={tail_start}): {fitted:.6g}")
 
     if args.max_dist is not None:

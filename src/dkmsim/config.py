@@ -8,7 +8,8 @@ loads back to an equivalent scenario.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import MISSING, replace
 
 import numpy as np
 import yaml
@@ -29,7 +30,13 @@ from .scenarios import (
 from .stepsize import PowerLawStepsize
 
 TOP_KEYS = {"name", "problem", "graph", "stepsize", "run", "output"}
-PROBLEM_KINDS = ("distance", "dgd", "linear", "consensus")
+# each problem kind's keys besides "kind": (required, optional)
+PROBLEM_KEYS = {
+    "distance": ((), ("sets", "staircase_agents")),
+    "dgd": (("tau", "objectives"), ()),
+    "linear": (("matrices", "offsets"), ("theta",)),
+    "consensus": (("agents", "dimension"), ()),
+}
 
 
 def _check_keys(mapping, allowed: set[str], required: set[str], path: str) -> None:
@@ -61,19 +68,31 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _as_vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError("expected a nonempty list of numbers", path)
+@contextmanager
+def _at(path: str):
+    """Report a library error raised in the block as a ConfigError at path; ConfigErrors pass as they are."""
     try:
-        return as_point([_as_float(v, path) for v in value])
+        yield
+    except ConfigError:
+        raise
     except DkmsimError as e:
         raise ConfigError(str(e), path) from e
 
 
-def _as_matrix(value, path: str) -> np.ndarray:
+def _as_list(value, what: str, path: str) -> list:
     if not isinstance(value, list) or not value:
-        raise ConfigError("expected a nonempty list of rows", path)
-    rows = [_as_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
+        raise ConfigError(f"expected a nonempty list of {what}", path)
+    return value
+
+
+def _as_vector(value, path: str) -> np.ndarray:
+    numbers = [_as_float(v, path) for v in _as_list(value, "numbers", path)]
+    with _at(path):
+        return as_point(numbers)
+
+
+def _as_matrix(value, path: str) -> np.ndarray:
+    rows = [_as_vector(row, f"{path}[{i}]") for i, row in enumerate(_as_list(value, "rows", path))]
     width = rows[0].shape[0]
     for i, row in enumerate(rows):
         if row.shape[0] != width:
@@ -81,59 +100,68 @@ def _as_matrix(value, path: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _floats(arr) -> list:
+    return [float(v) for v in np.asarray(arr).ravel()]
+
+
+def _matrix_lists(arr) -> list:
+    return [[float(v) for v in row] for row in np.asarray(arr)]
+
+
+# (load, dump) of one value: load parses and checks the YAML value, dump writes it back
+_INTEGER = (_as_int, int)
+_NUMBER = (_as_float, float)
+_VECTOR = (_as_vector, _floats)
+_MATRIX = (_as_matrix, _matrix_lists)
+
+# The item kinds: each YAML kind's class, and the (load, dump) pair of each of
+# its keys. The keys are the class's field names; a field with a default may
+# be left out.
+KINDS = {
+    "box": (Box, {"lower": _VECTOR, "upper": _VECTOR}),
+    "ball": (Ball, {"center": _VECTOR, "radius": _NUMBER}),
+    "quadratic": (Quadratic, {"matrix": _MATRIX, "target": _VECTOR}),
+    "huber": (Huber, {"target": _VECTOR, "delta": _NUMBER}),
+    "uniform": (UniformInit, {"low": _NUMBER, "high": _NUMBER}),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in KINDS.items()}
+_STEPSIZE_KEYS = {"alpha0": _NUMBER, "gamma": _NUMBER, "k0": _INTEGER}
+
+
 # ---------------------------------------------------------------------------
 # loading
 
 
-def _load_sets(items, path: str):
-    if not isinstance(items, list) or not items:
-        raise ConfigError("expected a nonempty list of sets", path)
-    sets = []
-    for i, item in enumerate(items):
-        p = f"{path}[{i}]"
-        _check_keys(item, {"kind", "lower", "upper", "center", "radius"}, {"kind"}, p)
-        kind = _as_str(item["kind"], f"{p}.kind")
-        try:
-            if kind == "box":
-                _check_keys(item, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, p)
-                sets.append(Box(_as_vector(item["lower"], f"{p}.lower"), _as_vector(item["upper"], f"{p}.upper")))
-            elif kind == "ball":
-                _check_keys(item, {"kind", "center", "radius"}, {"kind", "center", "radius"}, p)
-                sets.append(Ball(_as_vector(item["center"], f"{p}.center"), _as_float(item["radius"], f"{p}.radius")))
-            else:
-                raise ConfigError(f"unknown set kind {kind!r}; expected box or ball", f"{p}.kind")
-        except ConfigError:
-            raise
-        except DkmsimError as e:
-            raise ConfigError(str(e), p) from e
-    return sets
+def _load_fields(mapping, cls, keys: dict, path: str, extra: tuple = ()):
+    """cls built from mapping's keys, each loaded by keys[key]; extra keys are allowed and required."""
+    required = {key for key in keys if cls.__dataclass_fields__[key].default is MISSING}
+    _check_keys(mapping, {*extra, *keys}, {*extra, *required}, path)
+    with _at(path):
+        return cls(**{key: load(mapping[key], f"{path}.{key}") for key, (load, _) in keys.items() if key in mapping})
 
 
-def _load_objectives(items, path: str):
-    if not isinstance(items, list) or not items:
-        raise ConfigError("expected a nonempty list of objectives", path)
-    objectives = []
-    for i, item in enumerate(items):
-        p = f"{path}[{i}]"
-        _check_keys(item, {"kind", "matrix", "target", "delta"}, {"kind"}, p)
-        kind = _as_str(item["kind"], f"{p}.kind")
-        try:
-            if kind == "quadratic":
-                _check_keys(item, {"kind", "matrix", "target"}, {"kind", "matrix", "target"}, p)
-                objectives.append(
-                    Quadratic(_as_matrix(item["matrix"], f"{p}.matrix"), _as_vector(item["target"], f"{p}.target"))
-                )
-            elif kind == "huber":
-                _check_keys(item, {"kind", "target", "delta"}, {"kind", "target"}, p)
-                delta = _as_float(item.get("delta", 1.0), f"{p}.delta")
-                objectives.append(Huber(_as_vector(item["target"], f"{p}.target"), delta))
-            else:
-                raise ConfigError(f"unknown objective kind {kind!r}; expected quadratic or huber", f"{p}.kind")
-        except ConfigError:
-            raise
-        except DkmsimError as e:
-            raise ConfigError(str(e), p) from e
-    return objectives
+def _load_item(item, path: str, noun: str, kinds: tuple[str, ...], also: tuple[str, ...] = ()):
+    """The table class that item's kind names, out of kinds; the caller handles the kinds in also."""
+    _check_keys(item, {"kind"}.union(*(KINDS[kind][1] for kind in kinds)), {"kind"}, path)
+    kind = _as_str(item["kind"], f"{path}.kind")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {noun} kind {kind!r}; expected {' or '.join(kinds + also)}", f"{path}.kind")
+    cls, keys = KINDS[kind]
+    return _load_fields(item, cls, keys, path, ("kind",))
+
+
+def _load_items(items, path: str, noun: str, kinds: tuple[str, ...]) -> list:
+    items = _as_list(items, f"{noun}s", path)
+    return [_load_item(item, f"{path}[{i}]", noun, kinds) for i, item in enumerate(items)]
+
+
+def _dump_item(obj) -> dict:
+    kind = _KIND_OF[type(obj)]
+    return {"kind": kind, **_dump_fields(obj, KINDS[kind][1])}
+
+
+def _dump_fields(obj, keys: dict) -> dict:
+    return {key: dump(getattr(obj, key)) for key, (_, dump) in keys.items()}
 
 
 def _load_graph(section, path: str) -> GraphSchedule:
@@ -142,7 +170,7 @@ def _load_graph(section, path: str) -> GraphSchedule:
     has_explicit = "matrices" in section
     if has_ring == has_explicit:
         raise ConfigError("give either ring: {...} or matrices/window/weight_floor, not both", path)
-    try:
+    with _at(path):
         if has_ring:
             ring = section["ring"]
             _check_keys(ring, {"agents", "period", "weight"}, {"agents", "period"}, f"{path}.ring")
@@ -152,53 +180,22 @@ def _load_graph(section, path: str) -> GraphSchedule:
                 _as_float(ring.get("weight", 0.5), f"{path}.ring.weight"),
             )
         _check_keys(section, {"matrices", "window", "weight_floor"}, {"matrices", "window", "weight_floor"}, path)
-        mats = section["matrices"]
-        if not isinstance(mats, list) or not mats:
-            raise ConfigError("expected a nonempty list of matrices", f"{path}.matrices")
-        matrices = [_as_matrix(m, f"{path}.matrices[{t}]") for t, m in enumerate(mats)]
+        mats = _as_list(section["matrices"], "matrices", f"{path}.matrices")
         return GraphSchedule(
-            matrices,
+            [_as_matrix(m, f"{path}.matrices[{t}]") for t, m in enumerate(mats)],
             Q=_as_int(section["window"], f"{path}.window"),
             weight_floor=_as_float(section["weight_floor"], f"{path}.weight_floor"),
         )
-    except ConfigError:
-        raise
-    except DkmsimError as e:
-        raise ConfigError(str(e), path) from e
-
-
-def _load_stepsize(section, path: str) -> PowerLawStepsize:
-    _check_keys(section, {"alpha0", "gamma", "k0"}, set(), path)
-    try:
-        return PowerLawStepsize(
-            alpha0=_as_float(section.get("alpha0", 1.0), f"{path}.alpha0"),
-            gamma=_as_float(section.get("gamma", 0.7), f"{path}.gamma"),
-            k0=_as_int(section.get("k0", 1), f"{path}.k0"),
-        )
-    except DkmsimError as e:
-        raise ConfigError(str(e), path) from e
 
 
 def _load_init(section, path: str):
     if section is None:
         return UniformInit()
-    _check_keys(section, {"kind", "low", "high", "states"}, {"kind"}, path)
-    kind = _as_str(section["kind"], f"{path}.kind")
-    try:
-        if kind == "uniform":
-            _check_keys(section, {"kind", "low", "high"}, {"kind"}, path)
-            return UniformInit(
-                _as_float(section.get("low", -5.0), f"{path}.low"),
-                _as_float(section.get("high", 5.0), f"{path}.high"),
-            )
-        if kind == "explicit":
-            _check_keys(section, {"kind", "states"}, {"kind", "states"}, path)
+    if isinstance(section, dict) and section.get("kind") == "explicit":
+        _check_keys(section, {"kind", "states"}, {"kind", "states"}, path)
+        with _at(path):
             return as_states(_as_matrix(section["states"], f"{path}.states"))
-    except ConfigError:
-        raise
-    except DkmsimError as e:
-        raise ConfigError(str(e), path) from e
-    raise ConfigError(f"unknown init kind {kind!r}; expected uniform or explicit", f"{path}.kind")
+    return _load_item(section, path, "init", ("uniform",), also=("explicit",))
 
 
 def load_config(path) -> dict:
@@ -222,7 +219,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
         name = _as_str(doc["name"], "name")
 
     schedule = _load_graph(doc["graph"], "graph")
-    stepsize = _load_stepsize(doc["stepsize"], "stepsize")
+    stepsize = _load_fields(doc["stepsize"], PowerLawStepsize, _STEPSIZE_KEYS, "stepsize")
 
     run_sec = doc["run"]
     _check_keys(
@@ -246,21 +243,15 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}", "run.mode")
     block_dims = None
     if "blocks" in run_sec:
-        blocks = run_sec["blocks"]
-        if not isinstance(blocks, list) or not blocks:
-            raise ConfigError("expected a nonempty list of block dimensions", "run.blocks")
+        blocks = _as_list(run_sec["blocks"], "block dimensions", "run.blocks")
         block_dims = tuple(_as_int(b, f"run.blocks[{i}]") for i, b in enumerate(blocks))
     selector = None
     if "probabilities" in run_sec:
         if mode != "dbkm":
             raise ConfigError("probabilities only apply to mode dbkm", "run.probabilities")
-        probs = run_sec["probabilities"]
-        if not isinstance(probs, list) or not probs:
-            raise ConfigError("expected a nonempty list of probabilities", "run.probabilities")
-        try:
+        probs = _as_list(run_sec["probabilities"], "probabilities", "run.probabilities")
+        with _at("run.probabilities"):
             selector = BlockSelector(tuple(_as_float(p, f"run.probabilities[{i}]") for i, p in enumerate(probs)))
-        except DkmsimError as e:
-            raise ConfigError(str(e), "run.probabilities") from e
 
     explicit_reference = run_sec.get("reference")
 
@@ -276,56 +267,37 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
         run_kwargs["snapshot_every"] = _as_int(run_sec["snapshot_every"], "run.snapshot_every")
 
     problem = doc["problem"]
-    _check_keys(
-        problem,
-        {
-            "kind",
-            "sets",
-            "staircase_agents",
-            "tau",
-            "objectives",
-            "matrices",
-            "offsets",
-            "theta",
-            "agents",
-            "dimension",
-        },
-        {"kind"},
-        "problem",
-    )
+    _check_keys(problem, {"kind"}.union(*(req + opt for req, opt in PROBLEM_KEYS.values())), {"kind"}, "problem")
     kind = _as_str(problem["kind"], "problem.kind")
+    if kind not in PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem kind {kind!r}; expected one of {tuple(PROBLEM_KEYS)}", "problem.kind")
+    required, optional = PROBLEM_KEYS[kind]
+    _check_keys(problem, {"kind", *required, *optional}, {"kind", *required}, "problem")
     if kind != "consensus":
         run_kwargs.update(
             mode=mode, block_dims=block_dims, selector=selector, compute_reference=explicit_reference is None
         )
 
-    try:
+    with _at("problem"):
         if kind == "distance":
-            _check_keys(problem, {"kind", "sets", "staircase_agents"}, {"kind"}, "problem")
             if ("sets" in problem) == ("staircase_agents" in problem):
                 raise ConfigError("give either sets or staircase_agents, not both", "problem")
             if "staircase_agents" in problem:
                 sets = staircase_boxes(_as_int(problem["staircase_agents"], "problem.staircase_agents"))
             else:
-                sets = _load_sets(problem["sets"], "problem.sets")
+                sets = _load_items(problem["sets"], "problem.sets", "set", ("box", "ball"))
             scenario = build_distance_scenario(sets, schedule, stepsize, **run_kwargs)
         elif kind == "dgd":
-            _check_keys(problem, {"kind", "tau", "objectives"}, {"kind", "tau", "objectives"}, "problem")
             scenario = build_dgd_scenario(
-                _load_objectives(problem["objectives"], "problem.objectives"),
+                _load_items(problem["objectives"], "problem.objectives", "objective", ("quadratic", "huber")),
                 _as_float(problem["tau"], "problem.tau"),
                 schedule,
                 stepsize,
                 **run_kwargs,
             )
         elif kind == "linear":
-            _check_keys(problem, {"kind", "matrices", "offsets", "theta"}, {"kind", "matrices", "offsets"}, "problem")
-            mats = problem["matrices"]
-            offs = problem["offsets"]
-            if not isinstance(mats, list) or not mats:
-                raise ConfigError("expected a nonempty list of matrices", "problem.matrices")
-            if not isinstance(offs, list) or not offs:
-                raise ConfigError("expected a nonempty list of offsets", "problem.offsets")
+            mats = _as_list(problem["matrices"], "matrices", "problem.matrices")
+            offs = _as_list(problem["offsets"], "offsets", "problem.offsets")
             theta = problem.get("theta")
             scenario = build_linear_scenario(
                 [_as_matrix(m, f"problem.matrices[{i}]") for i, m in enumerate(mats)],
@@ -335,8 +307,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 theta=None if theta is None else _as_float(theta, "problem.theta"),
                 **run_kwargs,
             )
-        elif kind == "consensus":
-            _check_keys(problem, {"kind", "agents", "dimension"}, {"kind", "agents", "dimension"}, "problem")
+        else:
             if mode != "dkm" or block_dims is not None or selector is not None:
                 raise ConfigError("consensus problems run in mode dkm with a single block", "problem")
             scenario = build_consensus_scenario(
@@ -346,12 +317,6 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 stepsize,
                 **run_kwargs,
             )
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}", "problem.kind")
-    except ConfigError:
-        raise
-    except DkmsimError as e:
-        raise ConfigError(str(e), "problem") from e
 
     if explicit_reference is not None:
         ref = _as_vector(explicit_reference, "run.reference")
@@ -380,14 +345,6 @@ def trace_path_from_config(doc: dict, default: str = "trace.csv") -> str:
 # serialization
 
 
-def _floats(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
-
-
-def _matrix_lists(arr) -> list:
-    return [[float(v) for v in row] for row in np.asarray(arr)]
-
-
 def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dict:
     """Serialize a scenario to a config document that loads back equivalently."""
     config = scenario.config
@@ -395,25 +352,9 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
     ops = family.operators
 
     if all(isinstance(op, Projection) for op in ops):
-        sets = []
-        for op in ops:
-            s = op.target_set
-            if isinstance(s, Box):
-                sets.append({"kind": "box", "lower": _floats(s.lower), "upper": _floats(s.upper)})
-            else:
-                sets.append({"kind": "ball", "center": _floats(s.center), "radius": float(s.radius)})
-        problem = {"kind": "distance", "sets": sets}
+        problem = {"kind": "distance", "sets": [_dump_item(op.target_set) for op in ops]}
     elif all(isinstance(op, GradientStep) for op in ops):
-        objectives = []
-        for op in ops:
-            f = op.objective
-            if isinstance(f, Quadratic):
-                objectives.append(
-                    {"kind": "quadratic", "matrix": _matrix_lists(f.matrix), "target": _floats(f.target)}
-                )
-            else:
-                objectives.append({"kind": "huber", "target": _floats(f.target), "delta": float(f.delta)})
-        problem = {"kind": "dgd", "tau": float(ops[0].tau), "objectives": objectives}
+        problem = {"kind": "dgd", "tau": float(ops[0].tau), "objectives": [_dump_item(op.objective) for op in ops]}
     elif all(isinstance(op, Affine) for op in ops):
         problem = {
             "kind": "linear",
@@ -447,7 +388,7 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
     if config.selector is not None:
         run_sec["probabilities"] = [float(p) for p in config.selector.probabilities]
     if isinstance(config.init, UniformInit):
-        run_sec["init"] = {"kind": "uniform", "low": float(config.init.low), "high": float(config.init.high)}
+        run_sec["init"] = _dump_item(config.init)
     else:
         run_sec["init"] = {"kind": "explicit", "states": _matrix_lists(config.init)}
     if config.reference is not None:
@@ -461,11 +402,7 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
         "name": scenario.name,
         "problem": problem,
         "graph": graph,
-        "stepsize": {
-            "alpha0": float(config.stepsize.alpha0),
-            "gamma": float(config.stepsize.gamma),
-            "k0": config.stepsize.k0,
-        },
+        "stepsize": _dump_fields(config.stepsize, _STEPSIZE_KEYS),
         "run": run_sec,
         "output": {"trace": trace_path or f"{scenario.name}.trace.csv"},
     }

@@ -58,7 +58,7 @@ def fixed_point_residual(family: OperatorFamily, x) -> float:
 
 
 def distance_to_reference(states, reference) -> float:
-    """max_i ||x_i - x_star||."""
+    """max_i ||x_i - x_star||, bit for bit np.linalg.norm(states - reference, axis=1).max()."""
     states = as_states(states)
     reference = as_point(reference, states.shape[1])
     return _max_row_norms(states - reference)[0]
@@ -113,7 +113,8 @@ class TraceRecord:
     fp_residual and dist_to_ref are None when not computed (no reference
     known, for instance); selected_block is None except for block-sampled
     rounds, where it is the block drawn for the k -> k+1 transition.
-    max_state_norm tracks max_i ||x_i|| for boundedness checks.
+    max_state_norm tracks max_i ||x_i|| for boundedness checks. A record read
+    back from a trace file has neither max_state_norm nor snapshot.
     """
 
     k: int
@@ -122,7 +123,7 @@ class TraceRecord:
     fp_residual: float | None
     dist_to_ref: float | None
     selected_block: int | None
-    max_state_norm: float
+    max_state_norm: float | None
     snapshot: NDArray[Float] | None = None
 
 
@@ -149,28 +150,25 @@ class Trace:
             raise ParameterError("trace has no records")
         return self.records[-1]
 
+    @property
+    def state_shape(self) -> tuple[int, int]:
+        """(rows, n) of every state snapshot: a centralized run keeps one row, whatever its agent count."""
+        return (1 if self.mode == "centralized" else self.n_agents), self.n
 
-def fit_consensus_rate(trace: Trace, stepsize: PowerLawStepsize | None = None, tail_start: int | None = None) -> float:
+
+def fit_consensus_rate(trace: Trace, tail_start: int | None = None) -> float:
     """Tail-supremum constant C = max_{k >= tail_start} residual_k / alpha_{k//2}.
 
     A finite, stable C over a growing tail is evidence that the consensus
-    residual decays at the stepsize's lag rate. Defaults: the trace's own
-    stepsize, and a tail starting at max_rounds // 10.
+    residual decays at the stepsize's lag rate. alpha is the trace's own
+    stepsize; the tail starts at max_rounds // 10 by default.
     """
-    if stepsize is None:
-        stepsize = trace.stepsize
     if tail_start is None:
         tail_start = trace.max_rounds // 10
-    best = None
-    for rec in trace.records:
-        if rec.k < tail_start:
-            continue
-        ratio = rec.consensus_residual / stepsize.alpha_half(rec.k)
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    ratios = [r.consensus_residual / trace.stepsize.alpha_half(r.k) for r in trace.records if r.k >= tail_start]
+    if not ratios:
         raise ParameterError(
             f"no recorded rounds at or after tail_start = {tail_start} (last record: "
             f"{trace.records[-1].k if trace.records else 'none'})"
         )
-    return float(best)
+    return float(max(ratios))

@@ -230,28 +230,18 @@ def ring_schedule(n_agents: int, period: int, weight: float = 0.5) -> GraphSched
 
     matrices = []
     for t in range(P):
-        in_group = [j % P == t for j in range(N)]  # edge j: j -> j+1 (mod N)
+        active = [j % P == t for j in range(N)]  # edge j: j -> j+1 (mod N)
         source = list(range(N))  # source[i] = j means agent i hears from j
-        visited = [False] * N
-        for j0 in range(N):
-            if not in_group[j0] or visited[j0]:
-                continue
-            # walk back to the start of this maximal run of active edges
-            start = j0
-            while in_group[(start - 1) % N] and (start - 1) % N != j0:
-                start = (start - 1) % N
-            # follow the run forward, wiring each head to its tail
-            j = start
-            run = []
-            while in_group[j] and not visited[j]:
-                visited[j] = True
-                run.append(j)
+        for j in range(N):
+            if active[j]:
                 source[(j + 1) % N] = j
-                j = (j + 1) % N
-            head = (run[-1] + 1) % N
-            if head != start:
-                # open path: close it into a cycle on its own nodes
-                source[start] = head
+            if active[j] and not active[j - 1]:
+                # j starts a run of active edges, which is open for P >= 2: its
+                # first node hears from its last, closing it into a cycle
+                last = j + 1
+                while active[last % N]:
+                    last += 1
+                source[j] = last % N
         S = np.zeros((N, N))
         S[np.arange(N), source] = 1.0
         matrices.append((1.0 - w) * np.eye(N) + w * S)

@@ -360,9 +360,6 @@ class LocalOperator:
     def displacement_block(self, l: int, x) -> NDArray[Float]:
         return self.displacement(x)[self.partition.block_slice(l)]
 
-    def __call__(self, x) -> NDArray[Float]:
-        return self.evaluate(x)
-
 
 class Identity(LocalOperator):
     """F(x) = x. Fixed-point residuals are identically zero."""

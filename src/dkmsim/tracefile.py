@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Trace
-from .errors import ConfigError
+from .diagnostics import Trace, TraceRecord
+from .engine import MODES
+from .errors import ConfigError, DkmsimError
 from .stepsize import PowerLawStepsize
 
 HEADER = "k,alpha_k,consensus_residual,fp_residual,dist_to_ref,selected_block"
@@ -106,52 +106,37 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
         raise ConfigError(f"cannot write snapshot file: {e}") from e
 
 
-@dataclass
-class TraceRow:
-    k: int
-    alpha_k: float
-    consensus_residual: float
-    fp_residual: float | None
-    dist_to_ref: float | None
-    selected_block: int | None
+# metadata key -> (Trace field, parser of its text); alpha0, gamma and k0 build the stepsize
+_META = {
+    "mode": ("mode", str),
+    "agents": ("n_agents", int),
+    "dimension": ("n", int),
+    "blocks": ("block_dims", lambda text: tuple(int(d) for d in text.split(","))),
+    "seed": ("seed", int),
+    "max_rounds": ("max_rounds", int),
+    "alpha0": ("alpha0", float),
+    "gamma": ("gamma", float),
+    "k0": ("k0", int),
+}
 
 
-@dataclass
-class ParsedTrace:
-    """A trace read back from disk: metadata, rows, and the abort marker."""
-
-    meta: dict
-    rows: list[TraceRow]
-    aborted_at: int | None
-
-    def stepsize(self) -> PowerLawStepsize:
+def _parse_meta(meta: dict, path) -> dict:
+    """Trace fields from the `# key=value` lines; every key write_trace writes must parse."""
+    fields = {}
+    for key, (name, parse) in _META.items():
+        if key not in meta:
+            raise ConfigError(f"{path}: trace metadata lacks {key}")
         try:
-            return PowerLawStepsize(
-                alpha0=float(self.meta["alpha0"]),
-                gamma=float(self.meta["gamma"]),
-                k0=int(self.meta["k0"]),
-            )
-        except KeyError as e:
-            raise ConfigError(f"trace metadata lacks stepsize key {e}") from e
-
-    def max_rounds(self) -> int:
-        try:
-            return int(self.meta["max_rounds"])
-        except KeyError as e:
-            raise ConfigError("trace metadata lacks max_rounds") from e
-
-    def state_shape(self) -> tuple[int, int]:
-        """(agents, dimension) from the metadata: the shape of every snapshot.
-
-        A centralized run keeps a single state row, whatever its agent count.
-        """
-        try:
-            agents, n = int(self.meta["agents"]), int(self.meta["dimension"])
-            return (1 if self.meta.get("mode") == "centralized" else agents), n
-        except KeyError as e:
-            raise ConfigError(f"trace metadata lacks {e}") from e
+            fields[name] = parse(meta[key])
         except ValueError as e:
-            raise ConfigError(f"trace metadata agents/dimension is not an integer: {e}") from e
+            raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} does not parse: {e}") from e
+    if fields["mode"] not in MODES:
+        raise ConfigError(f"{path}: trace metadata mode={fields['mode']!r} is not one of {MODES}")
+    try:
+        fields["stepsize"] = PowerLawStepsize(fields.pop("alpha0"), fields.pop("gamma"), fields.pop("k0"))
+    except DkmsimError as e:
+        raise ConfigError(f"{path}: trace metadata: {e}") from e
+    return fields
 
 
 def _parse_field(text: str, path, line_no: int, column: str, caster):
@@ -166,14 +151,17 @@ def _parse_field(text: str, path, line_no: int, column: str, caster):
     return value
 
 
-def read_trace(path) -> ParsedTrace:
-    """Parse a trace file; rejects malformed rows and non-increasing rounds."""
+def read_trace(path) -> Trace:
+    """Parse a trace file; rejects malformed metadata and rows, and non-increasing rounds.
+
+    The records carry no max_state_norm or snapshot: the CSV does not store them.
+    """
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read trace file: {e}") from e
     meta: dict = {}
-    rows: list[TraceRow] = []
+    records: list[TraceRecord] = []
     aborted_at = None
     header_seen = False
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -204,21 +192,22 @@ def read_trace(path) -> ParsedTrace:
         cons = _parse_field(parts[2], path, line_no, "consensus_residual", float)
         if k is None or alpha is None or cons is None:
             raise ConfigError(f"{path}:{line_no}: k, alpha_k, consensus_residual must be present")
-        if rows and k <= rows[-1].k:
-            raise ConfigError(f"{path}:{line_no}: round {k} does not increase past {rows[-1].k}")
-        rows.append(
-            TraceRow(
+        if records and k <= records[-1].k:
+            raise ConfigError(f"{path}:{line_no}: round {k} does not increase past {records[-1].k}")
+        records.append(
+            TraceRecord(
                 k=k,
                 alpha_k=alpha,
                 consensus_residual=cons,
                 fp_residual=_parse_field(parts[3], path, line_no, "fp_residual", float),
                 dist_to_ref=_parse_field(parts[4], path, line_no, "dist_to_ref", float),
                 selected_block=_parse_field(parts[5], path, line_no, "selected_block", int),
+                max_state_norm=None,
             )
         )
     if not header_seen:
         raise ConfigError(f"{path}: no header row found")
-    return ParsedTrace(meta=meta, rows=rows, aborted_at=aborted_at)
+    return Trace(**_parse_meta(meta, path), records=records, aborted_at=aborted_at)
 
 
 def read_snapshots(path) -> dict[int, np.ndarray]:

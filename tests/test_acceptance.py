@@ -398,7 +398,7 @@ def test_criterion_9_byte_identical_traces(tmp_path, capsys):
             assert code == EXIT_OK
         outcomes[preset] = a.read_bytes() == b.read_bytes()
         if preset == "paper-dbkm-100":
-            rows = read_trace(a).rows
+            rows = read_trace(a).records
             drawn = [r.selected_block for r in rows[:-1]]
             outcomes["block column"] = all(isinstance(d, int) for d in drawn) and len(set(drawn)) > 1
     capsys.readouterr()

@@ -9,6 +9,7 @@ import dkmsim.cli
 from dkmsim import load_config, read_trace, save_config, scenario_from_config, snapshot_path_for
 from dkmsim.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from dkmsim.errors import DivergenceError
+from dkmsim.scenarios import PRESET_NAMES
 
 
 def cli(capsys, *argv):
@@ -86,8 +87,8 @@ def test_run_writes_trace(capsys, config_file, tmp_path):
     assert "trace written to" in out
     assert "final consensus residual" in out
     trace = read_trace(tmp_path / "t.csv")
-    assert trace.rows[-1].k == 300
-    assert trace.meta["mode"] == "dkm"
+    assert trace.records[-1].k == 300
+    assert trace.mode == "dkm"
 
 
 def test_run_is_byte_reproducible(capsys, config_file, tmp_path):
@@ -115,8 +116,8 @@ def test_run_overrides(capsys, config_file, tmp_path):
     assert code == EXIT_OK
     assert "snapshots written to" in out
     parsed = read_trace(out_path)
-    assert parsed.rows[-1].k == 50
-    assert parsed.max_rounds() == 50
+    assert parsed.records[-1].k == 50
+    assert parsed.max_rounds == 50
     assert (tmp_path / "short.snapshots.csv").exists()
     assert not (tmp_path / "t.csv").exists()
 
@@ -158,7 +159,7 @@ def test_run_seed_override_moves_seed_dependent_reference(capsys, consensus_file
         code, out, _ = cli(capsys, "run", str(consensus_file), "--seed", seed)
         assert code == EXIT_OK
         assert f"seed {seed}" in out
-        assert read_trace(tmp_path / "c.csv").rows[-1].dist_to_ref < 1e-12
+        assert read_trace(tmp_path / "c.csv").records[-1].dist_to_ref < 1e-12
 
 
 def test_run_validates_overrides_on_config_file(capsys, consensus_file, tmp_path):
@@ -233,7 +234,7 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     assert "diverged after round" in out
     parsed = read_trace(tmp_path / "d.csv")
     assert parsed.aborted_at is not None
-    assert parsed.rows[-1].k < 500
+    assert parsed.records[-1].k < 500
     # the line names the round, agent and coordinate that blew up
     last_round = parsed.aborted_at - 1
     assert out.splitlines() == [
@@ -393,7 +394,7 @@ def test_compare_reference_on_centralized_snapshots(capsys, tmp_path):
     save_config(doc, path)
     code, _, _ = cli(capsys, "run", str(path), "--snapshot-cadence", "50")
     assert code == EXIT_OK
-    assert read_trace(tmp_path / "c.csv").meta["agents"] == "2"
+    assert read_trace(tmp_path / "c.csv").n_agents == 2
     code, out, err = cli(capsys, "compare", str(tmp_path / "c.csv"), "--reference", "[1.5]")
     assert (code, err) == (EXIT_OK, "")
     assert "distance recomputed from snapshot at k=300" in out
@@ -433,7 +434,7 @@ def test_compare_refuses_reference_without_snapshots(capsys, tmp_path):
     trace = tmp_path / "n.csv"
     assert main(["run", "paper-dkm-6", "--max-rounds", "100", "--output", str(trace)]) == EXIT_OK
     capsys.readouterr()
-    assert read_trace(trace).rows[-1].dist_to_ref is not None
+    assert read_trace(trace).records[-1].dist_to_ref is not None
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[99.0, 99.0, 99.0]")
     assert code == EXIT_PARSE
     assert out.splitlines() == [
@@ -455,35 +456,74 @@ def _swap_agent_for_word(files):
     files["snap"] = "\n".join(lines) + "\n"
 
 
+def _set_meta(key, value):
+    """An edit that sets the trace's `# key=` line to value, or drops it when value is None."""
+
+    def edit(files):
+        lines = files["trace"].splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}="))
+        lines[i : i + 1] = [] if value is None else [f"# {key}={value}"]
+        files["trace"] = "\n".join(lines) + "\n"
+
+    return edit
+
+
+REF = ("--reference", "[1.0, 2.0, 3.0]")
+
+
 @pytest.mark.parametrize(
-    "reference, edit, message",
+    "options, edit, message",
     [
-        ("[1.0, 2.0]", None, "reference has shape (2,), snapshots in {snap} have 3 coordinates"),
-        ("[1.0, 2.0, 3.0]", _swap_agent_for_word, "{snap}:5: expected three integers and a number"),
+        (("--reference", "[1.0, 2.0]"), None, "reference has shape (2,), snapshots in {snap} have 3 coordinates"),
+        (REF, _swap_agent_for_word, "{snap}:5: expected three integers and a number"),
         (
-            "[1.0, 2.0, 3.0]",
+            REF,
             lambda files: files.update(snap=files["snap"].rsplit("\n", 2)[0] + "\n"),
             "{snap}: round 100 has 17 of 6 x 3 snapshot cells",
         ),
-        (None, lambda files: files.update(trace=files["trace"] + "# aborted at k=oops\n"), "{trace}:113: abort marker"),
+        ((), lambda files: files.update(trace=files["trace"] + "# aborted at k=oops\n"), "{trace}:113: abort marker"),
         (
-            "[1.0, 2.0, 3.0]",
+            REF,
             _drop_agent(5),
             "{snap}: round 100 holds a 5 x 3 snapshot, the trace header says 6 state rows x 3 coordinates",
         ),
-        ("{dir}", None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
+        (("--reference", "{dir}"), None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
+        (("--reference", "[NaN, 0, 0]"), None, "reference has non-finite entries: [nan, 0.0, 0.0]"),
+        (("--reference", "[Infinity, 0, 0]", "--max-dist", "1"), None, "reference has non-finite entries: [inf, 0.0, 0.0]"),
+        (("--max-dist", "nan"), None, "--max-dist must be finite, got nan"),
+        (("--max-dist", "inf"), None, "--max-dist must be finite, got inf"),
+        ((), _set_meta("alpha0", "abc"), "{trace}: trace metadata alpha0='abc' does not parse"),
+        ((), _set_meta("max_rounds", "ten"), "{trace}: trace metadata max_rounds='ten' does not parse"),
+        ((), _set_meta("k0", "0"), "{trace}: trace metadata: k0 must be an integer >= 1, got 0"),
+        ((), _set_meta("gamma", None), "{trace}: trace metadata lacks gamma"),
+        ((), _set_meta("mode", "warp"), "{trace}: trace metadata mode='warp' is not one of"),
     ],
-    ids=["reference-length", "non-integer-cell", "missing-last-cell", "bad-abort-marker", "missing-agent", "directory"],
+    ids=[
+        "reference-length",
+        "non-integer-cell",
+        "missing-last-cell",
+        "bad-abort-marker",
+        "missing-agent",
+        "directory",
+        "nan-reference",
+        "infinite-reference",
+        "nan-max-dist",
+        "infinite-max-dist",
+        "bad-alpha0",
+        "bad-max-rounds",
+        "zero-k0",
+        "missing-gamma",
+        "unknown-mode",
+    ],
 )
-def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, reference, edit, message):
+def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):
     files = {"trace": dkm6_trace.read_text(), "snap": snapshot_path_for(dkm6_trace).read_text()}
     if edit is not None:
         edit(files)
     trace = tmp_path / "t.csv"
     trace.write_text(files["trace"])
     snapshot_path_for(trace).write_text(files["snap"])
-    argv = ["compare", str(trace)] + ([] if reference is None else ["--reference", reference.format(dir=tmp_path)])
-    code, out, err = cli(capsys, *argv)
+    code, out, err = cli(capsys, "compare", str(trace), *(o.format(dir=tmp_path) for o in options))
     assert code == EXIT_PARSE
     assert "final distance" not in out
     assert len(err.splitlines()) == 1
@@ -494,6 +534,18 @@ def test_compare_tail_start_past_end(capsys, finished_trace):
     code, out, _ = cli(capsys, "compare", str(finished_trace), "--tail-start", "10000")
     assert code == EXIT_PARSE
     assert "no recorded rounds" in out
+
+
+def test_compare_tail_may_start_at_the_last_round(capsys, finished_trace):
+    trace = read_trace(finished_trace)
+    last = trace.records[-1]
+    code, out, _ = cli(capsys, "compare", str(finished_trace), "--tail-start", str(last.k))
+    assert code == EXIT_OK
+    fitted = last.consensus_residual / trace.stepsize.alpha_half(last.k)
+    assert f"fitted consensus rate constant (tail from k={last.k}): {fitted:.6g}" in out.splitlines()
+    code, out, _ = cli(capsys, "compare", str(finished_trace), "--tail-start", str(last.k + 1))
+    assert code == EXIT_PARSE
+    assert out.splitlines() == [f"no recorded rounds at or after tail_start={last.k + 1}"]
 
 
 def test_compare_missing_trace(capsys, tmp_path):
@@ -522,6 +574,15 @@ def test_export_file_round_trips(capsys, tmp_path):
     scenario = scenario_from_config(load_config(out_path))
     assert scenario.config.family.n_agents == 6
     assert scenario.config.max_rounds == 20_000
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_export_load_export_gives_identical_text(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.yaml"
+    assert cli(capsys, "export", name, "--output", str(path))[0] == EXIT_OK
+    code, out, _ = cli(capsys, "export", str(path))
+    assert code == EXIT_OK
+    assert out == path.read_text()
 
 
 def test_export_to_a_missing_directory_is_a_config_error(capsys, tmp_path):

@@ -23,6 +23,7 @@ from dkmsim import (
     scenario_to_config,
     trace_path_from_config,
 )
+from dkmsim.config import KINDS
 from dkmsim.errors import ConfigError
 from dkmsim.graphs import GraphSchedule
 from dkmsim.scenarios import PRESET_NAMES, Scenario
@@ -180,6 +181,20 @@ def test_bad_init_kind():
         scenario_from_config(doc)
 
 
+def test_item_keys_follow_the_class_defaults():
+    # a field without a default is a required key; one with a default may be left out
+    doc = make_doc()
+    del doc["problem"]["sets"][1]["upper"]
+    with pytest.raises(ConfigError, match=r"problem.sets\[1\]: missing required key\(s\) \['upper'\]"):
+        scenario_from_config(doc)
+    doc = make_doc()
+    doc["run"]["init"] = {"kind": "uniform", "high": 2.0}
+    assert scenario_from_config(doc).config.init == UniformInit(high=2.0)
+    doc["run"]["init"] = {"kind": "uniform", "states": [[1.0], [2.0]]}
+    with pytest.raises(ConfigError, match=r"run.init: unknown key\(s\) \['states'\]"):
+        scenario_from_config(doc)
+
+
 def test_explicit_init_round_trips():
     doc = make_doc()
     doc["run"]["init"] = {"kind": "explicit", "states": [[0.25], [-1.5]]}
@@ -271,6 +286,82 @@ def test_preset_round_trip_through_yaml(name, tmp_path):
     rng = np.random.default_rng(0)
     states = rng.uniform(-4, 4, (sc1.config.family.n_agents, sc1.config.family.n))
     assert np.array_equal(sc1.config.family.evaluate_all(states), sc2.config.family.evaluate_all(states))
+
+
+def full_doc(name, problem, run):
+    """A document as scenario_to_config writes it: every key present."""
+    return {
+        "name": name,
+        "problem": problem,
+        "graph": {"ring": {"agents": 3, "period": 2, "weight": 0.5}},
+        "stepsize": {"alpha0": 0.5, "gamma": 0.8, "k0": 2},
+        "run": {"mode": "dkm", "max_rounds": 40, "seed": 3, **run},
+        "output": {"trace": f"{name}.trace.csv"},
+    }
+
+
+ROUND_TRIP_DOCS = {
+    "box-and-ball": full_doc(
+        "box-and-ball",
+        {
+            "kind": "distance",
+            "sets": [
+                {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                {"kind": "ball", "center": [3.0, 0.5], "radius": 1.5},
+                {"kind": "box", "lower": [-1.0, 2.0], "upper": [0.5, 2.5]},
+            ],
+        },
+        {"init": {"kind": "uniform", "low": -5.0, "high": 5.0}, "reference": [1.0, 1.0]},
+    ),
+    "quadratic-and-huber": full_doc(
+        "quadratic-and-huber",
+        {
+            "kind": "dgd",
+            "tau": 0.25,
+            "objectives": [
+                {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.5, 2.0]], "target": [1.0, -1.0]},
+                {"kind": "huber", "target": [0.5, 0.5], "delta": 0.25},
+                {"kind": "huber", "target": [-0.5, 1.5], "delta": 1.0},
+            ],
+        },
+        {
+            "mode": "dbkm",
+            "blocks": [1, 1],
+            "probabilities": [0.25, 0.75],
+            "init": {"kind": "uniform", "low": -5.0, "high": 5.0},
+            "reference": [0.25, 0.5],
+        },
+    ),
+    "uniform": full_doc(
+        "uniform",
+        {"kind": "linear", "matrices": [[[1.0]], [[2.0]], [[1.5]]], "offsets": [[1.0], [2.0], [0.0]], "theta": 0.5},
+        {"init": {"kind": "uniform", "low": -2.0, "high": 3.5}, "reference": [0.75], "record_every": 4},
+    ),
+    "explicit-init": full_doc(
+        "explicit-init",
+        {"kind": "consensus", "agents": 3, "dimension": 2},
+        {
+            "init": {"kind": "explicit", "states": [[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]},
+            "reference": [0.5, 0.0],
+            "snapshot_every": 10,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_DOCS)
+def test_every_table_kind_round_trips(name):
+    doc = ROUND_TRIP_DOCS[name]
+    assert scenario_to_config(scenario_from_config(copy.deepcopy(doc))) == doc
+
+
+def test_round_trip_docs_cover_every_table_kind():
+    def kinds(doc):
+        items = doc["problem"].get("sets", []) + doc["problem"].get("objectives", []) + [doc["run"]["init"]]
+        return {item["kind"] for item in items}
+
+    used = set().union(*(kinds(doc) for doc in ROUND_TRIP_DOCS.values()))
+    assert used == set(KINDS) | {"explicit"}
 
 
 def test_explicit_matrix_graph_round_trips(tmp_path):

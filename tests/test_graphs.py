@@ -251,6 +251,30 @@ def test_ring_matrices_are_doubly_stochastic_permutation_mixes():
             assert set(vals).issubset({round(w, 12), round(1 - w, 12), 1.0})
 
 
+def test_ring_permutations_follow_their_spec():
+    # S_t is a permutation that contains every active edge (agent j+1 hears from j),
+    # fixes every agent no active edge touches, and keeps each agent's source in its
+    # own run of active edges. The last property is needed too: ring(4, 2) round 0
+    # has edges 0 -> 1 and 2 -> 3, and the 4-cycle 0 -> 1 -> 2 -> 3 -> 0 meets the
+    # other three. Together they pin S_t down.
+    for N in range(2, 41):
+        for P in range(1, N + 1):
+            for t, A in enumerate(ring_schedule(N, P, 0.5).matrices):
+                S = 2.0 * A - np.eye(N)  # exact for weight 0.5
+                assert set(np.unique(S)) <= {0.0, 1.0}
+                assert np.all(S.sum(axis=0) == 1.0) and np.all(S.sum(axis=1) == 1.0)
+                active = [j % P == t for j in range(N)]  # edge j: j -> j+1 (mod N)
+                for j in range(N):
+                    if active[j]:
+                        assert S[(j + 1) % N, j] == 1.0, (N, P, t, j)
+                    if not active[j] and not active[j - 1]:
+                        assert S[j, j] == 1.0, (N, P, t, j)
+                # agents i and i+1 share a run label exactly when edge i is active
+                inactive = [not active[i - 1] for i in range(N)]
+                run_of = np.cumsum(inactive) % max(1, sum(inactive))
+                assert np.array_equal(run_of[S.argmax(axis=1)], run_of), (N, P, t)
+
+
 def test_ring_joint_connectivity_windows():
     for N, P in [(6, 2), (100, 10), (5, 2), (8, 4)]:
         sched = ring_schedule(N, P, 0.5)

@@ -10,7 +10,6 @@ from dkmsim import (
     BlockPartition,
     GraphSchedule,
     OperatorFamily,
-    ParsedTrace,
     PowerLawStepsize,
     RunConfig,
     build_preset,
@@ -39,35 +38,37 @@ def test_round_trip_full_mode(dkm_trace, tmp_path):
     path = tmp_path / "run.csv"
     write_trace(dkm_trace, path)
     parsed = read_trace(path)
-    assert parsed.meta["mode"] == "dkm"
-    assert parsed.meta["agents"] == "6"
-    assert parsed.meta["dimension"] == "3"
-    assert parsed.meta["blocks"] == "3"
-    assert parsed.meta["seed"] == "0"
+    assert parsed.mode == "dkm"
+    assert parsed.n_agents == 6
+    assert parsed.n == 3
+    assert parsed.block_dims == (3,)
+    assert parsed.seed == 0
     assert parsed.aborted_at is None
-    assert parsed.max_rounds() == 200
-    assert parsed.stepsize() == dkm_trace.stepsize
-    assert len(parsed.rows) == len(dkm_trace.records)
-    for row, rec in zip(parsed.rows, dkm_trace.records):
+    assert parsed.max_rounds == 200
+    assert parsed.stepsize == dkm_trace.stepsize
+    assert parsed.state_shape == (6, 3)
+    assert len(parsed.records) == len(dkm_trace.records)
+    for row, rec in zip(parsed.records, dkm_trace.records):
         assert row.k == rec.k
         assert row.alpha_k == pytest.approx(rec.alpha_k, rel=1e-11)
         assert row.consensus_residual == pytest.approx(rec.consensus_residual, rel=1e-11, abs=1e-300)
         assert row.fp_residual == pytest.approx(rec.fp_residual, rel=1e-11, abs=1e-300)
         assert row.dist_to_ref == pytest.approx(rec.dist_to_ref, rel=1e-11, abs=1e-300)
         assert row.selected_block is None
+        assert row.max_state_norm is None and row.snapshot is None
 
 
 def test_round_trip_block_mode(dbkm_trace, tmp_path):
     path = tmp_path / "block.csv"
     write_trace(dbkm_trace, path)
     parsed = read_trace(path)
-    assert parsed.meta["mode"] == "dbkm"
-    assert parsed.meta["blocks"] == "1,1,1"
+    assert parsed.mode == "dbkm"
+    assert parsed.block_dims == (1, 1, 1)
     # every row but the last carries the block drawn for the ensuing step
-    for row, rec in zip(parsed.rows[:-1], dbkm_trace.records[:-1]):
+    for row, rec in zip(parsed.records[:-1], dbkm_trace.records[:-1]):
         assert row.selected_block == rec.selected_block
         assert isinstance(row.selected_block, int)
-    assert parsed.rows[-1].selected_block is None
+    assert parsed.records[-1].selected_block is None
 
 
 def test_snapshots_round_trip_exactly(dkm_trace, tmp_path):
@@ -115,7 +116,7 @@ def test_abort_marker_round_trips(tmp_path):
     assert f"# aborted at k={trace.aborted_at}" in path.read_text()
     parsed = read_trace(path)
     assert parsed.aborted_at == trace.aborted_at
-    assert parsed.rows[-1].k < trace.aborted_at
+    assert parsed.records[-1].k < trace.aborted_at
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +224,31 @@ def test_malformed_snapshot_rejected(tmp_path, cell, message):
         read_snapshots(path)
 
 
-def test_metadata_accessors_require_keys():
-    bare = ParsedTrace(meta={}, rows=[], aborted_at=None)
-    with pytest.raises(ConfigError):
-        bare.stepsize()
-    with pytest.raises(ConfigError):
-        bare.max_rounds()
+METADATA_KEYS = ("mode", "agents", "dimension", "blocks", "seed", "max_rounds", "alpha0", "gamma", "k0")
+
+
+@pytest.mark.parametrize("key", METADATA_KEYS)
+def test_read_trace_requires_every_metadata_key(dkm_trace, tmp_path, key):
+    path = write_then_edit(dkm_trace, tmp_path, lambda L: L.remove(next(x for x in L if x.startswith(f"# {key}="))))
+    with pytest.raises(ConfigError, match=f"tampered.csv: trace metadata lacks {key}$"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("agents", "six", r"agents='six' does not parse"),
+        ("blocks", "1,,2", r"blocks='1,,2' does not parse"),
+        ("seed", "0.5", r"seed='0.5' does not parse"),
+        ("alpha0", "nan", "alpha0 must be positive and finite"),
+        ("gamma", "-1", "gamma must be nonnegative"),
+        ("alpha0", "2.0", "alpha_0 = alpha0 / k0\\^gamma = 2 exceeds 1"),
+    ],
+)
+def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, message):
+    def edit(lines):
+        i = next(i for i, x in enumerate(lines) if x.startswith(f"# {key}="))
+        lines[i] = f"# {key}={value}"
+
+    with pytest.raises(ConfigError, match=message):
+        read_trace(write_then_edit(dkm_trace, tmp_path, edit))
