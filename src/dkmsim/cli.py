@@ -136,8 +136,12 @@ def _load_reference_arg(text: str) -> np.ndarray:
 
 
 def cmd_compare(args) -> int:
-    if args.max_dist is not None and not math.isfinite(args.max_dist):
-        raise ConfigError(f"--max-dist must be finite, got {args.max_dist}")
+    if args.max_dist is not None:
+        if not math.isfinite(args.max_dist):
+            raise ConfigError(f"--max-dist must be finite, got {args.max_dist}")
+        # no distance is below a nonpositive threshold, so such a test could never pass
+        if args.max_dist <= 0:
+            raise ConfigError(f"--max-dist must be positive, got {args.max_dist}")
     trace = read_trace(args.trace)
     if not trace.records:
         print("trace has no data rows")

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .blocks import BlockPartition, Float, as_point, as_states
 from .errors import DimensionMismatchError, ParameterError
-from .operators import OperatorFamily
+from .operators import OperatorFamily, _row_norms
 from .stepsize import PowerLawStepsize
 
 
@@ -65,24 +65,25 @@ def distance_to_reference(states, reference) -> float:
 
 
 def record_residuals(
-    family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None, tile: NDArray[Float]
-) -> tuple[float, float, float | None, float]:
-    """(consensus residual, fixed-point residual at the mean, distance to reference, max_i ||x_i||).
+    family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None
+) -> tuple[list[float], list[float], list[float | None], list[float]]:
+    """Per-state lists (consensus residual, fixed-point residual at the mean, distance to reference, max_i ||x_i||).
 
-    Bit for bit what consensus_residual, fixed_point_residual, distance_to_reference
-    (None without a reference) and np.linalg.norm(states, axis=1).max() give, but
-    unchecked: states must be a finite (rows, n) matrix, reference None or a finite
-    point, and tile an (N, n) scratch buffer for the family's N agents. The mean is
-    taken once, and one stacked pass takes every row norm.
+    states is a (K, rows, n) stack; entry j of each list is bit for bit what
+    consensus_residual, fixed_point_residual, distance_to_reference (None
+    without a reference) and np.linalg.norm(states[j], axis=1).max() give, but
+    unchecked: every state must be finite, reference None or a finite point.
+    One mean, one stacked row-norm pass and one displacement call cover all K.
     """
-    xbar = _mean(states)
-    if reference is None:
-        worst = _max_row_norms(np.concatenate((states - xbar, states)), 2)
-    else:
-        worst = _max_row_norms(np.concatenate((states - xbar, states, states - reference)), 3)
-    tile[:] = xbar
-    fp = _norm(family.mean_displacement(tile))
-    return worst[0], fp, (worst[2] if reference is not None else None), worst[1]
+    K, rows, n = states.shape
+    xbar = np.add.reduce(states, axis=1) / rows
+    spread = states - xbar[:, None, :]
+    parts = (spread, states) if reference is None else (spread, states, states - reference)
+    worst = _max_row_norms(np.concatenate(parts).reshape(-1, n), len(parts) * K)
+    tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
+    fp = _row_norms(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents).tolist()
+    dist = [None] * K if reference is None else worst[2 * K :]
+    return worst[:K], fp, dist, worst[K : 2 * K]
 
 
 def weighted_block_norm(x, partition: BlockPartition, probabilities) -> float:
@@ -106,7 +107,7 @@ def weighted_block_norm(x, partition: BlockPartition, probabilities) -> float:
     return float(np.sqrt(total))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One recorded round.
 

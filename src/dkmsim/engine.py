@@ -43,6 +43,10 @@ DIVERGENCE_LIMIT = 1e12
 # block uniforms run() draws at a time in block-sampled mode
 BLOCK_DRAWS = 256
 
+# floats of recorded state run() buffers before one pass takes all their residuals;
+# never fewer than two states, as a pass is mostly fixed dispatch cost
+RECORD_FLOATS = 1024
+
 MODES = ("dkm", "dbkm", "centralized")
 
 
@@ -291,7 +295,10 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     arithmetic of dkm_step / dbkm_step without their per-call checks, with
     block uniforms drawn BLOCK_DRAWS at a time; only recorded rounds do more.
     The divergence guard runs every round. A record reuses the round's
-    alpha_k and takes its residuals with record_residuals, unchecked.
+    alpha_k, and its state waits in a buffer of K = max(2, RECORD_FLOATS //
+    (rows * n)) states; one unchecked record_residuals pass takes all K once
+    the buffer is full, before a DivergenceError is raised and after the
+    final record. The records are bit for bit those taken one at a time.
     """
     if validate:
         for report in validate_run(config):
@@ -316,24 +323,39 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     )
 
     # every state that reaches a record is finite: RunConfig checked the init and
-    # reference, the divergence guard each round's result
-    tile = np.empty((family.n_agents, family.n))
+    # reference, the divergence guard each round's result. Recorded states wait in
+    # buffer, their (k, alpha_k, block, snapshot) in pending, until the buffer is full.
+    rows = states.shape[0]
+    buffer = np.empty((max(2, RECORD_FLOATS // (rows * family.n)), rows, family.n))
+    pending = []
 
-    def make_record(k: int, alpha: float, block: int | None) -> TraceRecord:
+    def queue(k: int, alpha: float, block: int | None) -> None:
         snap = None
         if config.snapshot_every is not None and (k % config.snapshot_every == 0 or k == config.max_rounds):
             snap = states.copy()
-        consensus, fp, dist, top = record_residuals(family, states, config.reference, tile)
-        return TraceRecord(
-            k=k,
-            alpha_k=alpha,
-            consensus_residual=consensus,
-            fp_residual=fp,
-            dist_to_ref=dist,
-            selected_block=block,
-            max_state_norm=top,
-            snapshot=snap,
-        )
+        buffer[len(pending)] = states
+        pending.append((k, alpha, block, snap))
+        if len(pending) == len(buffer):
+            flush()
+
+    def flush() -> None:
+        if not pending:
+            return
+        residuals = record_residuals(family, buffer[: len(pending)], config.reference)
+        for (k, alpha, block, snap), consensus, fp, dist, top in zip(pending, *residuals):
+            trace.records.append(
+                TraceRecord(
+                    k=k,
+                    alpha_k=alpha,
+                    consensus_residual=consensus,
+                    fp_residual=fp,
+                    dist_to_ref=dist,
+                    selected_block=block,
+                    max_state_norm=top,
+                    snapshot=snap,
+                )
+            )
+        pending.clear()
 
     mode = config.mode
     alpha_at = config.stepsize.alpha
@@ -341,6 +363,8 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     limit = config.divergence_limit
     if mode != "centralized":
         mats, period = config.schedule.matrices, config.schedule.period
+    else:
+        tile = np.empty((family.n_agents, family.n))
     if mode == "dbkm":
         cumulative = config.selector._cumulative
         slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
@@ -354,7 +378,7 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         alpha = alpha_at(k)
         # the default cadence keeps every round below 1000, then every ceil(k/1000)-th
         if (k < 1000 or k % -(-k // 1000) == 0) if record_every is None else k % record_every == 0:
-            trace.records.append(make_record(k, alpha, block))
+            queue(k, alpha, block)
         if mode == "dkm":
             new = mats[k % period] @ states
             new += alpha * family.displacement_all(new)
@@ -365,12 +389,14 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             tile[:] = states
             new = states + alpha * family.mean_displacement(tile)
         if not np.abs(new).max() <= limit:
+            flush()
             trace.aborted_at = k + 1
             # the first entry, row-major, that is non-finite or past the limit
             agent, coord = divmod(int(np.argmax(~(np.abs(new) <= limit))), new.shape[1])
             raise DivergenceError(k, trace, agent=agent, coordinate=coord, last_states=states)
         states = new
 
-    trace.records.append(make_record(config.max_rounds, alpha_at(config.max_rounds), None))
+    queue(config.max_rounds, alpha_at(config.max_rounds), None)
+    flush()
     trace.final_states = states
     return trace

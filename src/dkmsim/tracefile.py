@@ -49,6 +49,25 @@ def check_trace_path(path) -> None:
         Path(path).unlink()
 
 
+# metadata key -> (Trace field, parser of its text, its text in a trace); alpha0,
+# gamma and k0 build the stepsize
+_META = {
+    "mode": ("mode", str, lambda trace: trace.mode),
+    "agents": ("n_agents", int, lambda trace: str(trace.n_agents)),
+    "dimension": ("n", int, lambda trace: str(trace.n)),
+    "blocks": (
+        "block_dims",
+        lambda text: tuple(int(d) for d in text.split(",")),
+        lambda trace: ",".join(str(d) for d in trace.block_dims),
+    ),
+    "seed": ("seed", int, lambda trace: str(trace.seed)),
+    "max_rounds": ("max_rounds", int, lambda trace: str(trace.max_rounds)),
+    "alpha0": ("alpha0", float, lambda trace: repr(trace.stepsize.alpha0)),
+    "gamma": ("gamma", float, lambda trace: repr(trace.stepsize.gamma)),
+    "k0": ("k0", int, lambda trace: str(trace.stepsize.k0)),
+}
+
+
 def write_trace(trace: Trace, path, snapshot_path=None) -> None:
     """Write the trace; snapshots, if any were recorded, go to a companion file.
 
@@ -56,19 +75,7 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
     """
     if snapshot_path is None:
         snapshot_path = snapshot_path_for(path)
-    lines = [
-        "# dkmsim-trace v1",
-        f"# mode={trace.mode}",
-        f"# agents={trace.n_agents}",
-        f"# dimension={trace.n}",
-        f"# blocks={','.join(str(d) for d in trace.block_dims)}",
-        f"# seed={trace.seed}",
-        f"# max_rounds={trace.max_rounds}",
-        f"# alpha0={trace.stepsize.alpha0!r}",
-        f"# gamma={trace.stepsize.gamma!r}",
-        f"# k0={trace.stepsize.k0}",
-        HEADER,
-    ]
+    lines = ["# dkmsim-trace v1", *(f"# {key}={show(trace)}" for key, (_, _, show) in _META.items()), HEADER]
     for rec in trace.records:
         lines.append(
             ",".join(
@@ -106,24 +113,10 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
         raise ConfigError(f"cannot write snapshot file: {e}") from e
 
 
-# metadata key -> (Trace field, parser of its text); alpha0, gamma and k0 build the stepsize
-_META = {
-    "mode": ("mode", str),
-    "agents": ("n_agents", int),
-    "dimension": ("n", int),
-    "blocks": ("block_dims", lambda text: tuple(int(d) for d in text.split(","))),
-    "seed": ("seed", int),
-    "max_rounds": ("max_rounds", int),
-    "alpha0": ("alpha0", float),
-    "gamma": ("gamma", float),
-    "k0": ("k0", int),
-}
-
-
 def _parse_meta(meta: dict, path) -> dict:
     """Trace fields from the `# key=value` lines; every key write_trace writes must parse."""
     fields = {}
-    for key, (name, parse) in _META.items():
+    for key, (name, parse, _) in _META.items():
         if key not in meta:
             raise ConfigError(f"{path}: trace metadata lacks {key}")
         try:

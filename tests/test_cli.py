@@ -492,6 +492,8 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (("--reference", "[Infinity, 0, 0]", "--max-dist", "1"), None, "reference has non-finite entries: [inf, 0.0, 0.0]"),
         (("--max-dist", "nan"), None, "--max-dist must be finite, got nan"),
         (("--max-dist", "inf"), None, "--max-dist must be finite, got inf"),
+        (("--max-dist=0",), None, "--max-dist must be positive, got 0.0"),
+        (("--max-dist=-1",), None, "--max-dist must be positive, got -1.0"),
         ((), _set_meta("alpha0", "abc"), "{trace}: trace metadata alpha0='abc' does not parse"),
         ((), _set_meta("max_rounds", "ten"), "{trace}: trace metadata max_rounds='ten' does not parse"),
         ((), _set_meta("k0", "0"), "{trace}: trace metadata: k0 must be an integer >= 1, got 0"),
@@ -509,6 +511,8 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "infinite-reference",
         "nan-max-dist",
         "infinite-max-dist",
+        "zero-max-dist",
+        "negative-max-dist",
         "bad-alpha0",
         "bad-max-rounds",
         "zero-k0",

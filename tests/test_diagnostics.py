@@ -5,12 +5,16 @@ import pytest
 
 from dkmsim import (
     Affine,
+    Ball,
     BlockPartition,
     Box,
+    GradientStep,
+    Huber,
     Identity,
     OperatorFamily,
     PowerLawStepsize,
     Projection,
+    Quadratic,
     Trace,
     TraceRecord,
     consensus_residual,
@@ -20,6 +24,7 @@ from dkmsim import (
     mean_state,
     weighted_block_norm,
 )
+from dkmsim.diagnostics import record_residuals
 from dkmsim.errors import DimensionMismatchError, ParameterError
 
 
@@ -73,6 +78,48 @@ def test_distance_to_reference_cases():
     assert distance_to_reference(np.tile(ref, (3, 1)), ref) == 0.0
     states = np.vstack([ref, ref + np.array([1.0, 0.0])])
     assert distance_to_reference(states, ref) == pytest.approx(1.0)
+
+
+def kernel_family(kind, n_agents=5):
+    """Five agents of one kind on a 3-block partition of R^4, or of every kind in turn for "mixed"."""
+    part = BlockPartition((2, 1, 1))
+    rng = np.random.default_rng(8)
+
+    def affine():
+        G = rng.standard_normal((4, 4))
+        R = G.T @ G + 0.1 * np.eye(4)
+        return Affine(part, R, rng.standard_normal(4), theta=1.0 / np.linalg.eigvalsh(R).max())
+
+    kinds = {
+        "box": lambda: Projection(part, Box(-np.ones(4), rng.uniform(0.5, 2.0, 4))),
+        "ball": lambda: Projection(part, Ball(rng.standard_normal(4), 2.0)),
+        "quadratic": lambda: GradientStep(
+            part, Quadratic(rng.standard_normal((4, 4)) * 0.3, rng.standard_normal(4)), tau=0.5
+        ),
+        "huber": lambda: GradientStep(part, Huber(rng.standard_normal(4), 1.0), tau=1.0),
+        "affine": affine,
+    }
+    makers = list(kinds.values()) if kind == "mixed" else [kinds[kind]]
+    return OperatorFamily([makers[i % len(makers)]() for i in range(n_agents)])
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "quadratic", "huber", "affine", "mixed"])
+def test_record_residuals_equal_the_public_diagnostics(kind):
+    family = kernel_family(kind)
+    rng = np.random.default_rng(21)
+    for scale in (1e-8, 1e-4, 1.0, 1e3):
+        reference = rng.standard_normal(4) * scale
+        # every agent's row, or the single row of a centralized run
+        for rows in (family.n_agents, 1):
+            states = (rng.standard_normal((9, rows, 4)) + rng.standard_normal(4)) * scale
+            for ref in (None, reference):
+                consensus, fp, dist, top = record_residuals(family, states, ref)
+                assert len(consensus) == len(fp) == len(dist) == len(top) == len(states)
+                for j, x in enumerate(states):
+                    assert consensus[j] == consensus_residual(x)
+                    assert fp[j] == fixed_point_residual(family, x.mean(axis=0))
+                    assert dist[j] == (None if ref is None else distance_to_reference(x, ref))
+                    assert top[j] == np.linalg.norm(x, axis=1).max()
 
 
 def test_weighted_block_norm_cases():

@@ -42,7 +42,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import BLOCK_DRAWS
+from dkmsim.engine import BLOCK_DRAWS, RECORD_FLOATS
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -715,6 +715,12 @@ def reference_run(config):
     return records, states, None
 
 
+def records_per_pass(mode, family):
+    """K, the recorded states run() takes in one residual pass: RECORD_FLOATS floats, at least two states."""
+    rows = 1 if mode == "centralized" else family.n_agents
+    return max(2, RECORD_FLOATS // (rows * family.n))
+
+
 def assert_records_match(trace, expected):
     assert [rec.k for rec in trace.records] == [k for k, _, _ in expected]
     assert [rec.selected_block for rec in trace.records] == [b for _, b, _ in expected]
@@ -733,12 +739,35 @@ KERNEL_MODES = {
 @pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
 @pytest.mark.parametrize(
     "rounds, record_every",
-    [(100, 1), (BLOCK_DRAWS, 1), (2 * BLOCK_DRAWS + 37, 7), (5 * BLOCK_DRAWS + 20, None)],
-    ids=["below-one-draw", "one-draw", "not-a-draw-multiple", "default-cadence"],
+    [
+        (100, 1),
+        (BLOCK_DRAWS, 1),
+        (2 * BLOCK_DRAWS + 37, 7),
+        (5 * BLOCK_DRAWS + 20, None),
+        ((1, -1), 1),
+        ((1, 0), 1),
+        ((1, 1), 1),
+        ((2, 1), 1),
+    ],
+    ids=[
+        "below-one-draw",
+        "one-draw",
+        "not-a-draw-multiple",
+        "default-cadence",
+        "K-1-records",
+        "K-records",
+        "K+1-records",
+        "2K+1-records",
+    ],
 )
 def test_run_equals_checked_steps(mode, rounds, record_every):
+    family = mixed_family()
+    if isinstance(rounds, tuple):
+        # (a, b): a * K + b records, one per round, the last after the final round
+        passes, extra = rounds
+        rounds = passes * records_per_pass(mode, family) + extra - 1
     config = RunConfig(
-        family=mixed_family(),
+        family=family,
         stepsize=STEP,
         schedule=ring_schedule(4, 2, 0.5),
         max_rounds=rounds,
@@ -754,28 +783,12 @@ def test_run_equals_checked_steps(mode, rounds, record_every):
     assert_records_match(trace, expected)
 
 
-@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
-@pytest.mark.parametrize("reference", [None, np.array([0.5, -1.0, 2.0, 0.0])], ids=["no-reference", "reference"])
-def test_records_equal_the_public_diagnostics(mode, reference):
-    # five agents: dividing by a power of two would hide a mean taken as sum * (1/N)
-    family = mixed_family(n_agents=5)
-    config = RunConfig(
-        family=family,
-        stepsize=STEP,
-        schedule=ring_schedule(5, 2, 0.5),
-        max_rounds=300,
-        seed=5,
-        reference=reference,
-        record_every=1,
-        snapshot_every=1,
-        **KERNEL_MODES[mode],
-    )
-    trace = run(config)
-    assert [rec.k for rec in trace.records] == list(range(config.max_rounds + 1))
+def assert_records_equal_the_public_diagnostics(trace, family, reference):
+    """Every record's fields against the public diagnostics of its snapshot, bit for bit."""
     for rec in trace.records:
         states = rec.snapshot
         xbar = states.mean(axis=0)
-        assert rec.alpha_k == STEP.alpha(rec.k)
+        assert rec.alpha_k == trace.stepsize.alpha(rec.k)
         assert rec.consensus_residual == consensus_residual(states)
         assert rec.fp_residual == fixed_point_residual(family, xbar)
         assert rec.max_state_norm == np.linalg.norm(states, axis=1).max()
@@ -788,6 +801,64 @@ def test_records_equal_the_public_diagnostics(mode, reference):
         assert rec.consensus_residual == np.linalg.norm(states - xbar, axis=1).max()
         tiled = np.repeat(xbar[None, :], family.n_agents, axis=0)
         assert rec.fp_residual == np.linalg.norm(family.displacement_all(tiled).mean(axis=0))
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@pytest.mark.parametrize("reference", [None, np.array([0.5, -1.0, 2.0, 0.0])], ids=["no-reference", "reference"])
+def test_records_equal_the_public_diagnostics(mode, reference):
+    # five agents: dividing by a power of two would hide a mean taken as sum * (1/N)
+    family = mixed_family(n_agents=5)
+    K = records_per_pass(mode, family)
+    # 301 records, then K - 1, K, K + 1 and 2K + 1: full and partial residual passes
+    for rounds in (300, K - 2, K - 1, K, 2 * K):
+        config = RunConfig(
+            family=family,
+            stepsize=STEP,
+            schedule=ring_schedule(5, 2, 0.5),
+            max_rounds=rounds,
+            seed=5,
+            reference=reference,
+            record_every=1,
+            snapshot_every=1,
+            **KERNEL_MODES[mode],
+        )
+        trace = run(config)
+        assert [rec.k for rec in trace.records] == list(range(rounds + 1))
+        assert_records_equal_the_public_diagnostics(trace, family, reference)
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+def test_wide_states_take_records_two_at_a_time(mode):
+    # rows * n > RECORD_FLOATS / 2 in every mode, so K is at its floor of two
+    n = RECORD_FLOATS // 2 + 1
+    part = BlockPartition((n - 2, 1, 1))
+    rng = np.random.default_rng(9)
+    family = OperatorFamily(
+        [
+            Projection(part, Box(-np.ones(n), rng.uniform(0.5, 2.0, n))),
+            Projection(part, Ball(rng.standard_normal(n), 2.0)),
+            GradientStep(part, Huber(rng.standard_normal(n), 1.0), tau=1.0),
+        ]
+    )
+    assert records_per_pass(mode, family) == 2
+    reference = rng.standard_normal(n)
+    config = RunConfig(
+        family=family,
+        stepsize=STEP,
+        schedule=ring_schedule(3, 2, 0.5),
+        max_rounds=6,
+        seed=2,
+        reference=reference,
+        record_every=1,
+        snapshot_every=1,
+        **KERNEL_MODES[mode],
+    )
+    expected, final, aborted = reference_run(config)
+    assert aborted is None
+    trace = run(config)
+    assert np.array_equal(trace.final_states, final)
+    assert_records_match(trace, expected)
+    assert_records_equal_the_public_diagnostics(trace, family, reference)
 
 
 def growing_family():
@@ -831,6 +902,39 @@ def test_divergence_after_a_later_draw_matches_checked_steps(mode):
     assert np.array_equal(err.last_states, expected[-1][2])
     assert (err.agent, err.coordinate) == ((0 if mode == "centralized" else 2), 3)
     assert abs(blown[err.agent, err.coordinate]) > 1e7
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@pytest.mark.parametrize("offset", [0, -2], ids=["one-round-after-a-pass", "one-round-before-a-pass"])
+def test_divergence_next_to_a_record_pass_keeps_every_record(mode, offset):
+    family = growing_family()
+    config = RunConfig(
+        family=family,
+        stepsize=PowerLawStepsize(0.05, 0.0, 1),
+        schedule=GraphSchedule([np.eye(4)], Q=1, weight_floor=0.5),
+        max_rounds=3000,
+        init=np.full((4, 4), 10.0),
+        record_every=1,
+        snapshot_every=1,
+        **KERNEL_MODES[mode],
+    )
+    expected, _, _ = reference_run(config)
+    K = records_per_pass(mode, family)
+    # the largest entry only grows; a limit between its values before and after
+    # round m * K + offset makes that round the fatal one. Offset 0 leaves one
+    # record waiting for a pass at the abort, offset -2 leaves K - 1.
+    peaks = [np.abs(states).max() for _, _, states in expected]
+    fatal = next(t for t in range(K + offset, len(peaks) - 1, K) if peaks[t + 1] > peaks[t])
+    config = replace(config, divergence_limit=(peaks[fatal] + peaks[fatal + 1]) / 2)
+    expected, _, aborted = reference_run(config)
+    assert aborted == fatal
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    trace = exc.value.trace
+    assert exc.value.last_round == fatal
+    assert len(trace.records) == fatal + 1
+    assert_records_match(trace, expected)
+    assert_records_equal_the_public_diagnostics(trace, family, None)
 
 
 def test_run_checks_every_stepsize_before_round_zero():
