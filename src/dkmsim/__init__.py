@@ -91,7 +91,7 @@ from .scenarios import (
     staircase_boxes,
 )
 from .stepsize import PowerLawStepsize, check_stepsize_conditions
-from .tracefile import read_snapshots, read_trace, snapshot_path_for, write_trace
+from .tracefile import read_trace, snapshot_path_for, write_trace
 from .validation import ValidationReport, Violation
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .diagnostics import TraceRecord, distance_to_reference, fit_consensus_rate,
 from .engine import run, validate_full
 from .errors import ConfigError, DivergenceError, DkmsimError
 from .scenarios import PRESET_NAMES, Scenario, build_preset
-from .tracefile import check_trace_path, read_snapshots, read_trace, snapshot_path_for, write_trace
+from .tracefile import check_trace_path, read_trace, snapshot_path_for, write_trace
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -142,6 +142,8 @@ def cmd_compare(args) -> int:
         # no distance is below a nonpositive threshold, so such a test could never pass
         if args.max_dist <= 0:
             raise ConfigError(f"--max-dist must be positive, got {args.max_dist}")
+    if args.tail_start is not None and args.tail_start < 0:
+        raise ConfigError(f"--tail-start must be >= 0, got {args.tail_start}")
     trace = read_trace(args.trace)
     if not trace.records:
         print("trace has no data rows")
@@ -153,28 +155,13 @@ def cmd_compare(args) -> int:
     final_dist = last.dist_to_ref
     if args.reference is not None:
         reference = _load_reference_arg(args.reference)
-        snap_file = snapshot_path_for(args.trace)
-        if not snap_file.exists():
-            print(f"trace has no snapshot file ({snap_file}); cannot apply the reference")
+        if last.snapshot is None:
+            print(f"trace has no snapshot of its final round k={last.k}; cannot apply the reference")
             return EXIT_PARSE
-        snaps = read_snapshots(snap_file)
-        k_last = max(snaps, default=None)
-        if k_last != last.k:
-            print(f"snapshot file {snap_file} does not end at the trace's final round k={last.k}")
-            return EXIT_PARSE
-        # read_snapshots makes every round the same shape, so one round settles it
-        shape, got = trace.state_shape, snaps[k_last].shape
-        if got != shape:
-            raise ConfigError(
-                f"{snap_file}: round {k_last} holds a {got[0]} x {got[1]} snapshot,"
-                f" the trace header says {shape[0]} state rows x {shape[1]} coordinates"
-            )
-        if reference.shape != (shape[1],):
-            raise ConfigError(
-                f"reference has shape {reference.shape}, snapshots in {snap_file} have {shape[1]} coordinates"
-            )
-        final_dist = distance_to_reference(snaps[k_last], reference)
-        print(f"distance recomputed from snapshot at k={k_last}")
+        if reference.shape != (trace.n,):
+            raise ConfigError(f"reference has shape {reference.shape}, the trace has {trace.n} coordinates")
+        final_dist = distance_to_reference(last.snapshot, reference)
+        print(f"distance recomputed from snapshot at k={last.k}")
 
     tail_start = trace.max_rounds // 10 if args.tail_start is None else args.tail_start
     # rounds increase, so the tail is empty exactly when the last round precedes it

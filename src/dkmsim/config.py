@@ -198,6 +198,54 @@ def _load_init(section, path: str):
     return _load_item(section, path, "init", ("uniform",), also=("explicit",))
 
 
+def _dump_init(init) -> dict:
+    if isinstance(init, UniformInit):
+        return _dump_item(init)
+    return {"kind": "explicit", "states": _matrix_lists(init)}
+
+
+def _load_mode(value, path: str) -> str:
+    mode = _as_str(value, path)
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}", path)
+    return mode
+
+
+def _load_blocks(value, path: str) -> tuple[int, ...]:
+    return tuple(_as_int(b, f"{path}[{i}]") for i, b in enumerate(_as_list(value, "block dimensions", path)))
+
+
+def _load_selector(value, path: str) -> BlockSelector:
+    probs = _as_list(value, "probabilities", path)
+    with _at(path):
+        return BlockSelector(tuple(_as_float(p, f"{path}[{i}]") for i, p in enumerate(probs)))
+
+
+# The run section in export order: each key's (load, dump). load parses the
+# YAML value; dump reads it off a RunConfig, and export leaves out a None.
+_RUN = {
+    "mode": (_load_mode, lambda config: config.mode),
+    "max_rounds": (_as_int, lambda config: config.max_rounds),
+    "seed": (_as_int, lambda config: config.seed),
+    "blocks": (
+        _load_blocks,
+        lambda config: list(config.family.partition.dims) if config.family.partition.m > 1 else None,
+    ),
+    "probabilities": (
+        _load_selector,
+        lambda config: None if config.selector is None else _floats(config.selector.probabilities),
+    ),
+    "init": (_load_init, lambda config: _dump_init(config.init)),
+    # a null reference asks for the computed one, like a missing key
+    "reference": (
+        lambda value, path: None if value is None else _as_vector(value, path),
+        lambda config: None if config.reference is None else _floats(config.reference),
+    ),
+    "record_every": (_as_int, lambda config: config.record_every),
+    "snapshot_every": (_as_int, lambda config: config.snapshot_every),
+}
+
+
 def load_config(path) -> dict:
     """Read and structurally validate a YAML config file."""
     try:
@@ -222,49 +270,15 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     stepsize = _load_fields(doc["stepsize"], PowerLawStepsize, _STEPSIZE_KEYS, "stepsize")
 
     run_sec = doc["run"]
-    _check_keys(
-        run_sec,
-        {
-            "mode",
-            "max_rounds",
-            "seed",
-            "blocks",
-            "probabilities",
-            "init",
-            "reference",
-            "record_every",
-            "snapshot_every",
-        },
-        {"max_rounds"},
-        "run",
-    )
-    mode = _as_str(run_sec.get("mode", "dkm"), "run.mode")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}", "run.mode")
-    block_dims = None
-    if "blocks" in run_sec:
-        blocks = _as_list(run_sec["blocks"], "block dimensions", "run.blocks")
-        block_dims = tuple(_as_int(b, f"run.blocks[{i}]") for i, b in enumerate(blocks))
-    selector = None
-    if "probabilities" in run_sec:
-        if mode != "dbkm":
-            raise ConfigError("probabilities only apply to mode dbkm", "run.probabilities")
-        probs = _as_list(run_sec["probabilities"], "probabilities", "run.probabilities")
-        with _at("run.probabilities"):
-            selector = BlockSelector(tuple(_as_float(p, f"run.probabilities[{i}]") for i, p in enumerate(probs)))
-
-    explicit_reference = run_sec.get("reference")
-
-    run_kwargs = dict(
-        name=name,
-        max_rounds=_as_int(run_sec["max_rounds"], "run.max_rounds"),
-        seed=_as_int(run_sec.get("seed", 0), "run.seed"),
-        init=_load_init(run_sec.get("init"), "run.init"),
-    )
-    if "record_every" in run_sec:
-        run_kwargs["record_every"] = _as_int(run_sec["record_every"], "run.record_every")
-    if "snapshot_every" in run_sec:
-        run_kwargs["snapshot_every"] = _as_int(run_sec["snapshot_every"], "run.snapshot_every")
+    _check_keys(run_sec, set(_RUN), {"max_rounds"}, "run")
+    run_kwargs = {key: load(run_sec[key], f"run.{key}") for key, (load, _) in _RUN.items() if key in run_sec}
+    mode = run_kwargs.pop("mode", "dkm")
+    block_dims = run_kwargs.pop("blocks", None)
+    selector = run_kwargs.pop("probabilities", None)
+    if selector is not None and mode != "dbkm":
+        raise ConfigError("probabilities only apply to mode dbkm", "run.probabilities")
+    reference = run_kwargs.pop("reference", None)
+    run_kwargs["name"] = name
 
     problem = doc["problem"]
     _check_keys(problem, {"kind"}.union(*(req + opt for req, opt in PROBLEM_KEYS.values())), {"kind"}, "problem")
@@ -274,9 +288,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     required, optional = PROBLEM_KEYS[kind]
     _check_keys(problem, {"kind", *required, *optional}, {"kind", *required}, "problem")
     if kind != "consensus":
-        run_kwargs.update(
-            mode=mode, block_dims=block_dims, selector=selector, compute_reference=explicit_reference is None
-        )
+        run_kwargs.update(mode=mode, block_dims=block_dims, selector=selector, compute_reference=reference is None)
 
     with _at("problem"):
         if kind == "distance":
@@ -318,15 +330,10 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 **run_kwargs,
             )
 
-    if explicit_reference is not None:
-        ref = _as_vector(explicit_reference, "run.reference")
-        if ref.shape[0] != scenario.config.family.n:
-            raise ConfigError(
-                f"reference has {ref.shape[0]} coordinates, problem has {scenario.config.family.n}",
-                "run.reference",
-            )
+    if reference is not None:
         # a plain Scenario: the file's reference stays put under later run overrides
-        scenario = Scenario(scenario.name, replace(scenario.config, reference=ref), "config file")
+        with _at("run.reference"):
+            scenario = Scenario(scenario.name, replace(scenario.config, reference=reference), "config file")
 
     if "output" in doc:
         _check_keys(doc["output"], {"trace"}, set(), "output")
@@ -378,32 +385,12 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
             "weight_floor": float(schedule.weight_floor),
         }
 
-    run_sec: dict = {
-        "mode": config.mode,
-        "max_rounds": config.max_rounds,
-        "seed": config.seed,
-    }
-    if family.partition.m > 1:
-        run_sec["blocks"] = list(family.partition.dims)
-    if config.selector is not None:
-        run_sec["probabilities"] = [float(p) for p in config.selector.probabilities]
-    if isinstance(config.init, UniformInit):
-        run_sec["init"] = _dump_item(config.init)
-    else:
-        run_sec["init"] = {"kind": "explicit", "states": _matrix_lists(config.init)}
-    if config.reference is not None:
-        run_sec["reference"] = _floats(config.reference)
-    if config.record_every is not None:
-        run_sec["record_every"] = config.record_every
-    if config.snapshot_every is not None:
-        run_sec["snapshot_every"] = config.snapshot_every
-
     doc = {
         "name": scenario.name,
         "problem": problem,
         "graph": graph,
         "stepsize": _dump_fields(config.stepsize, _STEPSIZE_KEYS),
-        "run": run_sec,
+        "run": {key: value for key, (_, dump) in _RUN.items() if (value := dump(config)) is not None},
         "output": {"trace": trace_path or f"{scenario.name}.trace.csv"},
     }
     return doc

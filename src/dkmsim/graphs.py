@@ -188,12 +188,12 @@ def check_q_strong_connectivity(schedule: GraphSchedule, Q: int | None = None) -
     return passed(name, f"{schedule.period} window offsets checked")
 
 
-def validate_schedule(schedule: GraphSchedule, stochastic_tol: float = STOCHASTIC_TOL) -> list[ValidationReport]:
+def validate_schedule(schedule: GraphSchedule) -> list[ValidationReport]:
     """All three graph checks: stochasticity per graph, floor, connectivity."""
     reports = []
     stoch_violations = []
     for t, A in enumerate(schedule.matrices):
-        rep = check_doubly_stochastic(A, stochastic_tol)
+        rep = check_doubly_stochastic(A)
         if not rep.passed:
             for v in rep.violations:
                 stoch_violations.append(Violation(f"graph {t}, {v.where}", v.message, v.value))
@@ -201,7 +201,7 @@ def validate_schedule(schedule: GraphSchedule, stochastic_tol: float = STOCHASTI
     if stoch_violations:
         reports.append(failed(name, stoch_violations))
     else:
-        reports.append(passed(name, f"{schedule.period} graphs, tol {stochastic_tol:g}"))
+        reports.append(passed(name, f"{schedule.period} graphs, tol {STOCHASTIC_TOL:g}"))
     reports.append(check_weight_floor(schedule))
     reports.append(check_q_strong_connectivity(schedule))
     return reports

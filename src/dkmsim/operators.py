@@ -130,10 +130,6 @@ class Quadratic:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def value(self, x: NDArray[Float]) -> float:
-        r = self.matrix @ x - self.target
-        return 0.5 * float(r @ r)
-
     def gradient(self, x: NDArray[Float]) -> NDArray[Float]:
         return self.matrix.T @ (self.matrix @ x - self.target)
 
@@ -164,12 +160,6 @@ class Huber:
     @property
     def n(self) -> int:
         return self.target.shape[0]
-
-    def value(self, x: NDArray[Float]) -> float:
-        z = x - self.target
-        az = np.abs(z)
-        inside = az <= self.delta
-        return float(np.sum(np.where(inside, 0.5 * z * z, self.delta * (az - 0.5 * self.delta))))
 
     def gradient(self, x: NDArray[Float]) -> NDArray[Float]:
         return np.clip(x - self.target, -self.delta, self.delta)

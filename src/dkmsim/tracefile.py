@@ -4,13 +4,15 @@ Layout: `# key=value` metadata comment lines, then the fixed header
 `k,alpha_k,consensus_residual,fp_residual,dist_to_ref,selected_block`,
 then data rows with at least 12 significant digits; inapplicable fields
 are left empty. An aborted run ends with `# aborted at k=<k>`. Snapshots
-go to a separate file with header `k,agent,coord_index,value`.
+go to the companion file snapshot_path_for(path), with header
+`k,agent,coord_index,value` and one line per cell; read_trace reads both.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +70,11 @@ _META = {
 }
 
 
-def write_trace(trace: Trace, path, snapshot_path=None) -> None:
-    """Write the trace; snapshots, if any were recorded, go to a companion file.
+def write_trace(trace: Trace, path) -> None:
+    """Write the trace; snapshots, if any were recorded, go to the companion at snapshot_path_for(path).
 
     Without snapshots, a companion left at that path by an earlier run is removed.
     """
-    if snapshot_path is None:
-        snapshot_path = snapshot_path_for(path)
     lines = ["# dkmsim-trace v1", *(f"# {key}={show(trace)}" for key, (_, _, show) in _META.items()), HEADER]
     for rec in trace.records:
         lines.append(
@@ -106,9 +106,9 @@ def write_trace(trace: Trace, path, snapshot_path=None) -> None:
                 )
     try:
         if snapshots:
-            Path(snapshot_path).write_text("\n".join(snap_lines) + "\n")
+            snapshot_path_for(path).write_text("\n".join(snap_lines) + "\n")
         else:
-            Path(snapshot_path).unlink(missing_ok=True)
+            snapshot_path_for(path).unlink(missing_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot write snapshot file: {e}") from e
 
@@ -125,6 +125,15 @@ def _parse_meta(meta: dict, path) -> dict:
             raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} does not parse: {e}") from e
     if fields["mode"] not in MODES:
         raise ConfigError(f"{path}: trace metadata mode={fields['mode']!r} is not one of {MODES}")
+    # the bounds RunConfig and BlockPartition put on every run that writes a trace
+    for key, low in (("agents", 1), ("dimension", 1), ("seed", 0), ("max_rounds", 1)):
+        if fields[_META[key][0]] < low:
+            raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} is below {low}")
+    if min(fields["block_dims"]) < 1 or sum(fields["block_dims"]) != fields["n"]:
+        raise ConfigError(
+            f"{path}: trace metadata blocks={meta['blocks']!r}"
+            f" are not positive sizes summing to dimension={fields['n']}"
+        )
     try:
         fields["stepsize"] = PowerLawStepsize(fields.pop("alpha0"), fields.pop("gamma"), fields.pop("k0"))
     except DkmsimError as e:
@@ -145,9 +154,12 @@ def _parse_field(text: str, path, line_no: int, column: str, caster):
 
 
 def read_trace(path) -> Trace:
-    """Parse a trace file; rejects malformed metadata and rows, and non-increasing rounds.
+    """Parse a trace file and, when there is one, its snapshot companion.
 
-    The records carry no max_state_norm or snapshot: the CSV does not store them.
+    Refuses malformed metadata and rows, non-increasing rounds, and a
+    companion that read_snapshots refuses or that holds a round the trace did
+    not record. Each companion round's state is the snapshot of that round's
+    record; the records carry no max_state_norm, which the CSV does not store.
     """
     try:
         text = Path(path).read_text()
@@ -200,30 +212,36 @@ def read_trace(path) -> Trace:
         )
     if not header_seen:
         raise ConfigError(f"{path}: no header row found")
-    return Trace(**_parse_meta(meta, path), records=records, aborted_at=aborted_at)
+    trace = Trace(**_parse_meta(meta, path), records=records, aborted_at=aborted_at)
+    snapshot_path = snapshot_path_for(path)
+    if snapshot_path.exists():
+        rounds, states = read_snapshots(snapshot_path, trace.state_shape)
+        ks = [rec.k for rec in records]
+        for k, state in zip(rounds, states):
+            i = bisect_left(ks, k)
+            if i == len(ks) or ks[i] != k:
+                raise ConfigError(f"{snapshot_path}: snapshot round {k} is not a round the trace recorded")
+            records[i].snapshot = state
+    return trace
 
 
-def read_snapshots(path) -> dict[int, np.ndarray]:
-    """Parse a snapshot companion file into {round: (N, n) array}.
+def read_snapshots(path, shape: tuple[int, int]) -> tuple[list[int], np.ndarray]:
+    """Parse a companion of (rows, n) states into its rounds and one (rounds, rows, n) array.
 
-    Every round must hold all N x n cells, N and n being the largest agent
-    and coordinate indices in the file plus one.
+    The cells must come in write_trace's order: rounds increasing, and each
+    round's rows x n cells agent by agent, coordinates increasing.
     """
+    rows, n = shape
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read snapshot file: {e}") from e
-    entries: dict[int, dict[tuple[int, int], float]] = {}
-    header_seen = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != SNAPSHOT_HEADER:
-                raise ConfigError(f"{path}:{line_no}: expected header {SNAPSHOT_HEADER!r}")
-            header_seen = True
-            continue
+    if not lines or lines[0] != SNAPSHOT_HEADER:
+        raise ConfigError(f"{path}:1: expected header {SNAPSHOT_HEADER!r}")
+    cells = [(agent, coord) for agent in range(rows) for coord in range(n)]
+    rounds: list[int] = []
+    values: list[float] = []
+    for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 4:
             raise ConfigError(f"{path}:{line_no}: expected 4 columns, got {len(parts)}")
@@ -233,17 +251,20 @@ def read_snapshots(path) -> dict[int, np.ndarray]:
             raise ConfigError(f"{path}:{line_no}: expected three integers and a number, got {line!r}") from e
         if min(k, agent, coord) < 0 or not math.isfinite(value):
             raise ConfigError(f"{path}:{line_no}: negative index or non-finite value in {line!r}")
-        entries.setdefault(k, {})[(agent, coord)] = value
-    if not entries:
-        return {}
-    n_agents = 1 + max(a for cells in entries.values() for a, _ in cells)
-    n = 1 + max(c for cells in entries.values() for _, c in cells)
-    out = {}
-    for k, cells in entries.items():
-        if len(cells) != n_agents * n:
-            raise ConfigError(f"{path}: round {k} has {len(cells)} of {n_agents} x {n} snapshot cells")
-        arr = np.empty((n_agents, n))
-        for (a, c), v in cells.items():
-            arr[a, c] = v
-        out[k] = arr
-    return out
+        j = len(values) % len(cells)
+        if j == 0:
+            if rounds and k <= rounds[-1]:
+                raise ConfigError(
+                    f"{path}:{line_no}: round {k} does not increase past {rounds[-1]}"
+                    f" (a round holds {rows} x {n} cells)"
+                )
+            rounds.append(k)
+        elif k != rounds[-1]:
+            raise ConfigError(f"{path}: round {rounds[-1]} has {j} of {rows} x {n} snapshot cells")
+        if (agent, coord) != cells[j]:
+            want = "agent {}, coordinate {}".format(*cells[j])
+            raise ConfigError(f"{path}:{line_no}: expected {want} of round {k}, got {line!r}")
+        values.append(value)
+    if len(values) % len(cells):
+        raise ConfigError(f"{path}: round {rounds[-1]} has {len(values) % len(cells)} of {rows} x {n} snapshot cells")
+    return rounds, np.array(values).reshape(len(rounds), rows, n)

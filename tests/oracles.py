@@ -1,7 +1,8 @@
 """Independent reference computations used to freeze expected test values.
 
 Each helper deliberately avoids the library code path it is used to check:
-gradients come from central finite differences, reachability from a dense
+gradients come from central finite differences of objective values
+written out from their definitions, reachability from a dense
 boolean closure, series verdicts from dyadic block sums, spectral norms
 from power iteration, and maxima from brute-force grids. The sampled
 checks and the distance oracle, which the library evaluates on stacked
@@ -22,6 +23,18 @@ def fd_gradient(f, x, h=1e-6):
         step[i] = h
         grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
+
+
+def quadratic_value(f, x):
+    """f(x) = 0.5 ||A x - b||^2 of a Quadratic, from its definition."""
+    r = f.matrix @ x - f.target
+    return 0.5 * float(r @ r)
+
+
+def huber_value(f, x):
+    """Sum over coordinates of the Huber loss of x - target: quadratic within delta, linear outside."""
+    z = np.abs(x - f.target)
+    return float(np.sum(np.where(z <= f.delta, 0.5 * z * z, f.delta * (z - 0.5 * f.delta))))
 
 
 def closure_strongly_connected(adjacency):

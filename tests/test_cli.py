@@ -178,13 +178,14 @@ def test_rerun_without_snapshots_leaves_no_stale_companion(capsys, config_file, 
     assert not companion.exists()
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
     assert code == EXIT_PARSE
-    assert out.splitlines() == [f"trace has no snapshot file ({companion}); cannot apply the reference"]
+    assert out.splitlines() == ["trace has no snapshot of its final round k=10; cannot apply the reference"]
 
-    # a companion that does not end where the trace does is refused
+    # a companion holding rounds the trace did not record is refused, with or without a reference
     companion.write_bytes(stale)
-    code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[1.5]")
-    assert code == EXIT_PARSE
-    assert out.splitlines() == [f"snapshot file {companion} does not end at the trace's final round k=10"]
+    for options in ((), ("--reference", "[1.5]")):
+        code, out, err = cli(capsys, "compare", str(trace), *options)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.splitlines() == [f"config error: {companion}: snapshot round 50 is not a round the trace recorded"]
 
 
 def test_run_skip_validate_refuses_overflowing_stepsize(capsys, tmp_path):
@@ -437,9 +438,7 @@ def test_compare_refuses_reference_without_snapshots(capsys, tmp_path):
     assert read_trace(trace).records[-1].dist_to_ref is not None
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[99.0, 99.0, 99.0]")
     assert code == EXIT_PARSE
-    assert out.splitlines() == [
-        f"trace has no snapshot file ({snapshot_path_for(trace)}); cannot apply the reference"
-    ]
+    assert out.splitlines() == ["trace has no snapshot of its final round k=100; cannot apply the reference"]
 
 
 def _drop_agent(agent):
@@ -474,7 +473,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
 @pytest.mark.parametrize(
     "options, edit, message",
     [
-        (("--reference", "[1.0, 2.0]"), None, "reference has shape (2,), snapshots in {snap} have 3 coordinates"),
+        (("--reference", "[1.0, 2.0]"), None, "reference has shape (2,), the trace has 3 coordinates"),
         (REF, _swap_agent_for_word, "{snap}:5: expected three integers and a number"),
         (
             REF,
@@ -485,7 +484,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (
             REF,
             _drop_agent(5),
-            "{snap}: round 100 holds a 5 x 3 snapshot, the trace header says 6 state rows x 3 coordinates",
+            "{snap}: round 0 has 15 of 6 x 3 snapshot cells",
         ),
         (("--reference", "{dir}"), None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
         (("--reference", "[NaN, 0, 0]"), None, "reference has non-finite entries: [nan, 0.0, 0.0]"),
@@ -499,6 +498,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_meta("k0", "0"), "{trace}: trace metadata: k0 must be an integer >= 1, got 0"),
         ((), _set_meta("gamma", None), "{trace}: trace metadata lacks gamma"),
         ((), _set_meta("mode", "warp"), "{trace}: trace metadata mode='warp' is not one of"),
+        (("--tail-start", "-5"), None, "--tail-start must be >= 0, got -5"),
     ],
     ids=[
         "reference-length",
@@ -518,6 +518,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "zero-k0",
         "missing-gamma",
         "unknown-mode",
+        "negative-tail-start",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):

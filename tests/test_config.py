@@ -23,7 +23,7 @@ from dkmsim import (
     scenario_to_config,
     trace_path_from_config,
 )
-from dkmsim.config import KINDS
+from dkmsim.config import _RUN, KINDS
 from dkmsim.errors import ConfigError
 from dkmsim.graphs import GraphSchedule
 from dkmsim.scenarios import PRESET_NAMES, Scenario
@@ -353,6 +353,26 @@ ROUND_TRIP_DOCS = {
 def test_every_table_kind_round_trips(name):
     doc = ROUND_TRIP_DOCS[name]
     assert scenario_to_config(scenario_from_config(copy.deepcopy(doc))) == doc
+
+
+def test_export_writes_run_keys_in_table_order():
+    doc = copy.deepcopy(ROUND_TRIP_DOCS["quadratic-and-huber"])
+    doc["run"].update(record_every=4, snapshot_every=10)
+    doc["run"] = dict(reversed(doc["run"].items()))
+    assert len(doc["run"]) == len(_RUN)
+    exported = list(scenario_to_config(scenario_from_config(doc))["run"])
+    assert exported == list(_RUN)
+    assert exported == [
+        "mode",
+        "max_rounds",
+        "seed",
+        "blocks",
+        "probabilities",
+        "init",
+        "reference",
+        "record_every",
+        "snapshot_every",
+    ]
 
 
 def test_round_trip_docs_cover_every_table_kind():

@@ -13,13 +13,13 @@ from dkmsim import (
     PowerLawStepsize,
     RunConfig,
     build_preset,
-    read_snapshots,
     read_trace,
     run,
     snapshot_path_for,
     write_trace,
 )
 from dkmsim.errors import ConfigError, DivergenceError
+from dkmsim.tracefile import read_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,8 @@ def test_round_trip_full_mode(dkm_trace, tmp_path):
         assert row.fp_residual == pytest.approx(rec.fp_residual, rel=1e-11, abs=1e-300)
         assert row.dist_to_ref == pytest.approx(rec.dist_to_ref, rel=1e-11, abs=1e-300)
         assert row.selected_block is None
-        assert row.max_state_norm is None and row.snapshot is None
+        assert row.max_state_norm is None
+        assert (row.snapshot is None) == (rec.snapshot is None)
 
 
 def test_round_trip_block_mode(dbkm_trace, tmp_path):
@@ -74,10 +75,9 @@ def test_round_trip_block_mode(dbkm_trace, tmp_path):
 def test_snapshots_round_trip_exactly(dkm_trace, tmp_path):
     path = tmp_path / "run.csv"
     write_trace(dkm_trace, path)
-    snaps = read_snapshots(snapshot_path_for(path))
+    snaps = {rec.k: rec.snapshot for rec in read_trace(path).records if rec.snapshot is not None}
     recorded = {rec.k: rec.snapshot for rec in dkm_trace.records if rec.snapshot is not None}
-    assert set(snaps) == set(recorded)
-    assert sorted(snaps) == [0, 50, 100, 150, 200]
+    assert sorted(snaps) == sorted(recorded) == [0, 50, 100, 150, 200]
     for k, arr in recorded.items():
         # 17 significant digits reproduce float64 bit for bit
         assert np.array_equal(snaps[k], arr)
@@ -89,15 +89,7 @@ def test_snapshot_path_naming():
     assert str(snapshot_path_for("bare")).endswith("bare.snapshots.csv")
 
 
-def test_explicit_snapshot_path(dkm_trace, tmp_path):
-    path = tmp_path / "t.csv"
-    other = tmp_path / "elsewhere.csv"
-    write_trace(dkm_trace, path, snapshot_path=other)
-    assert other.exists()
-    assert not snapshot_path_for(path).exists()
-
-
-def test_abort_marker_round_trips(tmp_path):
+def _diverged_trace(**run_kwargs):
     part = BlockPartition.single(1)
     grow = Affine(part, -np.eye(1), np.zeros(1), theta=1.0, validate=False)
     config = RunConfig(
@@ -107,10 +99,15 @@ def test_abort_marker_round_trips(tmp_path):
         max_rounds=1000,
         init=np.array([[1.0]]),
         divergence_limit=1e6,
+        **run_kwargs,
     )
     with pytest.raises(DivergenceError) as exc:
         run(config, validate=False)
-    trace = exc.value.trace
+    return exc.value.trace
+
+
+def test_abort_marker_round_trips(tmp_path):
+    trace = _diverged_trace()
     path = tmp_path / "aborted.csv"
     write_trace(trace, path)
     assert f"# aborted at k={trace.aborted_at}" in path.read_text()
@@ -221,7 +218,7 @@ def test_malformed_snapshot_rejected(tmp_path, cell, message):
     path = tmp_path / "t.snapshots.csv"
     path.write_text("k,agent,coord_index,value\n0,0,0,1.0\n0,0,1,2.0\n0,1,0,3.0\n" + cell + "\n")
     with pytest.raises(ConfigError, match=message):
-        read_snapshots(path)
+        read_snapshots(path, (2, 2))
 
 
 METADATA_KEYS = ("mode", "agents", "dimension", "blocks", "seed", "max_rounds", "alpha0", "gamma", "k0")
@@ -243,6 +240,12 @@ def test_read_trace_requires_every_metadata_key(dkm_trace, tmp_path, key):
         ("alpha0", "nan", "alpha0 must be positive and finite"),
         ("gamma", "-1", "gamma must be nonnegative"),
         ("alpha0", "2.0", "alpha_0 = alpha0 / k0\\^gamma = 2 exceeds 1"),
+        ("agents", "0", "agents='0' is below 1"),
+        ("dimension", "0", "dimension='0' is below 1"),
+        ("blocks", "0", "blocks='0' are not positive sizes summing to dimension=3"),
+        ("blocks", "1,1", "blocks='1,1' are not positive sizes summing to dimension=3"),
+        ("seed", "-1", "seed='-1' is below 0"),
+        ("max_rounds", "-7", "max_rounds='-7' is below 1"),
     ],
 )
 def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, message):
@@ -252,3 +255,88 @@ def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, 
 
     with pytest.raises(ConfigError, match=message):
         read_trace(write_then_edit(dkm_trace, tmp_path, edit))
+
+
+# ---------------------------------------------------------------------------
+# traces read back with their snapshots
+
+
+def _every_round_trace(preset, max_rounds, **changes):
+    config = build_preset(preset, max_rounds=max_rounds).config
+    return run(replace(config, record_every=1, snapshot_every=7, **changes))
+
+
+PAIR_TRACES = {
+    "dkm": lambda: _every_round_trace("paper-dkm-6", 60),
+    "dbkm": lambda: _every_round_trace("paper-dbkm-100", 30),
+    "centralized": lambda: _every_round_trace("paper-dkm-6", 60, mode="centralized"),
+    "diverged": lambda: _diverged_trace(record_every=1, snapshot_every=7),
+}
+
+
+@pytest.mark.parametrize("kind", PAIR_TRACES)
+def test_trace_reads_back_as_written(kind, tmp_path):
+    trace = PAIR_TRACES[kind]()
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    parsed = read_trace(path)
+    assert (parsed.mode, parsed.aborted_at, parsed.state_shape) == (trace.mode, trace.aborted_at, trace.state_shape)
+    assert len(parsed.records) == len(trace.records)
+    snapshot_rounds = []
+    for row, rec in zip(parsed.records, trace.records):
+        assert (row.k, row.selected_block) == (rec.k, rec.selected_block)
+        for name in ("alpha_k", "consensus_residual", "fp_residual", "dist_to_ref"):
+            assert getattr(row, name) == pytest.approx(getattr(rec, name), rel=1e-11, abs=1e-300), name
+        assert (row.snapshot is None) == (rec.snapshot is None)
+        if rec.snapshot is not None:
+            assert row.snapshot.tobytes() == rec.snapshot.tobytes()
+            snapshot_rounds.append(row.k)
+    assert snapshot_rounds and all(k % 7 == 0 for k in snapshot_rounds[:-1])
+
+
+def _companion_lines(trace, tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    return path, snapshot_path_for(path).read_text().splitlines()
+
+
+def test_companion_cell_out_of_order_rejected(dkm_trace, tmp_path):
+    path, lines = _companion_lines(dkm_trace, tmp_path)
+    lines[2], lines[3] = lines[3], lines[2]
+    snapshot_path_for(path).write_text("\n".join(lines) + "\n")
+    message = r"t\.snapshots\.csv:3: expected agent 0, coordinate 1 of round 0, got '0,0,2,"
+    with pytest.raises(ConfigError, match=message):
+        read_trace(path)
+
+
+def test_companion_round_the_trace_did_not_record_rejected(dkm_trace, tmp_path):
+    path, _ = _companion_lines(dkm_trace, tmp_path)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in rows if not line.startswith("50,")) + "\n")
+    with pytest.raises(ConfigError, match="snapshot round 50 is not a round the trace recorded"):
+        read_trace(path)
+
+
+def test_companion_truncated_last_round_rejected(dkm_trace, tmp_path):
+    path, lines = _companion_lines(dkm_trace, tmp_path)
+    snapshot_path_for(path).write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ConfigError, match="round 200 has 17 of 6 x 3 snapshot cells"):
+        read_trace(path)
+
+
+def test_centralized_companion_with_every_agent_rejected(tmp_path):
+    trace = run(replace(build_preset("paper-dkm-6", max_rounds=20).config, mode="centralized", snapshot_every=10))
+    path, lines = _companion_lines(trace, tmp_path)
+    assert trace.state_shape == (1, 3) and trace.n_agents == 6
+    # the same state written once per agent, as a 6-row companion would hold it
+    lines[1:] = [
+        f"{rec.k},{agent},{coord},{format(rec.snapshot[0, coord], '.17g')}"
+        for rec in trace.records
+        if rec.snapshot is not None
+        for agent in range(6)
+        for coord in range(3)
+    ]
+    snapshot_path_for(path).write_text("\n".join(lines) + "\n")
+    message = r"t\.snapshots\.csv:5: round 0 does not increase past 0 \(a round holds 1 x 3 cells\)"
+    with pytest.raises(ConfigError, match=message):
+        read_trace(path)

@@ -1,0 +1,116 @@
+"""Write the byte-identity set of this tree: each command's files, stdout, stderr and exit code.
+
+Usage: python tools/identity.py OUT
+
+Run it on two trees and `diff -r` the two OUT directories; an empty diff
+means every trace, snapshot companion, exported config and printed line is
+unchanged. The set:
+  - `run` of every preset at seeds 0 and 3, with and without --snapshot-cadence 50;
+  - `export` of every preset, to stdout and to a file;
+  - export -> run with record_every 1 and snapshot_every 50 -> `compare
+    --max-dist 5e-2`, without and with the exported reference;
+  - a config whose lone agent doubles its state every round, run to divergence
+    and compared.
+Each case runs in its own directory under OUT with relative paths, so no
+output names the tree. OUT must not exist. dkmsim is imported from the src/
+beside this script; the rest is the standard library.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dkmsim.cli import main  # noqa: E402
+from dkmsim.config import load_config, save_config  # noqa: E402
+from dkmsim.scenarios import PRESET_NAMES  # noqa: E402
+
+SEEDS = (0, 3)
+CADENCE = "50"
+MAX_DIST = "5e-2"
+# YAML reads JSON, so the config is written with the standard library
+DOUBLING = {
+    "problem": {"kind": "consensus", "agents": 1, "dimension": 1},
+    "graph": {"matrices": [[[2.0]]], "window": 1, "weight_floor": 0.4},
+    "stepsize": {"gamma": 0.7},
+    "run": {"mode": "dkm", "max_rounds": 500, "seed": 0},
+    "output": {"trace": "trace.csv"},
+}
+
+
+def call(case: Path, name: str, *argv: str):
+    """Run one dkmsim command inside case/, saving its stdout, stderr and exit code as name.*."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(case)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except Exception as e:  # an escaped error is an outcome to compare as well
+                code = f"{type(e).__name__}: {e}"
+    finally:
+        os.chdir(home)
+    (case / f"{name}.stdout").write_text(out.getvalue())
+    (case / f"{name}.stderr").write_text(err.getvalue())
+    (case / f"{name}.exit").write_text(f"{code}\n")
+    return code
+
+
+def round_trip(case: Path, preset: str) -> None:
+    call(case, "export", "export", preset, "--output", "exported.yaml")
+    doc = load_config(case / "exported.yaml")
+    doc["run"].update(record_every=1, snapshot_every=int(CADENCE))
+    doc["output"]["trace"] = "trace.csv"
+    save_config(doc, case / "run.yaml")
+    call(case, "run", "run", "run.yaml")
+    call(case, "compare", "compare", "trace.csv", "--max-dist", MAX_DIST)
+    if "reference" in doc["run"]:
+        (case / "reference.json").write_text(json.dumps(doc["run"]["reference"]))
+        call(case, "compare-reference", "compare", "trace.csv", "--reference", "reference.json", "--max-dist", MAX_DIST)
+
+
+def cases():
+    """(case name, function of its directory) for every case of the set."""
+    for preset in PRESET_NAMES:
+        for seed in SEEDS:
+            argv = ("run", preset, "--seed", str(seed), "--output", "trace.csv")
+            yield f"run-{preset}-seed{seed}", lambda case, argv=argv: call(case, "run", *argv)
+            yield (
+                f"run-{preset}-seed{seed}-cadence{CADENCE}",
+                lambda case, argv=argv: call(case, "run", *argv, "--snapshot-cadence", CADENCE),
+            )
+        yield f"export-{preset}", lambda case, preset=preset: call(case, "export", "export", preset)
+        yield f"roundtrip-{preset}", lambda case, preset=preset: round_trip(case, preset)
+
+    def divergent(case: Path) -> None:
+        (case / "doubling.yaml").write_text(json.dumps(DOUBLING, indent=2) + "\n")
+        call(case, "run", "run", "doubling.yaml", "--skip-validate")
+        call(case, "compare", "compare", "trace.csv")
+
+    yield "divergent-doubling", divergent
+
+
+def write_set(out: Path) -> None:
+    out.mkdir(parents=True)
+    for name, make in cases():
+        start = time.perf_counter()
+        case = out / name
+        case.mkdir()
+        make(case)
+        print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    if Path(sys.argv[1]).exists():
+        sys.exit(f"{sys.argv[1]} exists; give a new directory")
+    write_set(Path(sys.argv[1]))
