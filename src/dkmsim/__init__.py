@@ -18,6 +18,7 @@ from .config import (
     trace_path_from_config,
 )
 from .diagnostics import (
+    RECORD,
     Trace,
     TraceRecord,
     consensus_residual,

@@ -87,7 +87,7 @@ def cmd_run(args) -> int:
     last = trace.last()
     print(f"{scenario.name}: {config.mode}, {config.max_rounds} rounds, seed {config.seed}")
     print(f"trace written to {trace_path}")
-    if any(rec.snapshot is not None for rec in trace.records):
+    if len(trace.snapshot_rounds):
         print(f"snapshots written to {snapshot_path_for(trace_path)}")
     _print_final(last, last.dist_to_ref)
     return EXIT_OK
@@ -145,22 +145,23 @@ def cmd_compare(args) -> int:
     if args.tail_start is not None and args.tail_start < 0:
         raise ConfigError(f"--tail-start must be >= 0, got {args.tail_start}")
     trace = read_trace(args.trace)
-    if not trace.records:
+    if not len(trace.table):
         print("trace has no data rows")
         return EXIT_PARSE
-    last = trace.records[-1]
+    last = trace.last()
     if trace.aborted_at is not None:
         print(f"note: run aborted at k={trace.aborted_at}")
 
     final_dist = last.dist_to_ref
     if args.reference is not None:
         reference = _load_reference_arg(args.reference)
-        if last.snapshot is None:
+        # snapshot rounds are recorded rounds, so only the last can be the final round
+        if not len(trace.snapshot_rounds) or trace.snapshot_rounds[-1] != last.k:
             print(f"trace has no snapshot of its final round k={last.k}; cannot apply the reference")
             return EXIT_PARSE
         if reference.shape != (trace.n,):
             raise ConfigError(f"reference has shape {reference.shape}, the trace has {trace.n} coordinates")
-        final_dist = distance_to_reference(last.snapshot, reference)
+        final_dist = distance_to_reference(trace.snapshots[-1], reference)
         print(f"distance recomputed from snapshot at k={last.k}")
 
     tail_start = trace.max_rounds // 10 if args.tail_start is None else args.tail_start

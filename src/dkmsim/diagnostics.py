@@ -8,7 +8,7 @@ cross-check the iteration against its averaged rewrite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,11 +66,11 @@ def distance_to_reference(states, reference) -> float:
 
 def record_residuals(
     family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None
-) -> tuple[list[float], list[float], list[float | None], list[float]]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Per-state lists (consensus residual, fixed-point residual at the mean, distance to reference, max_i ||x_i||).
 
     states is a (K, rows, n) stack; entry j of each list is bit for bit what
-    consensus_residual, fixed_point_residual, distance_to_reference (None
+    consensus_residual, fixed_point_residual, distance_to_reference (NaN
     without a reference) and np.linalg.norm(states[j], axis=1).max() give, but
     unchecked: every state must be finite, reference None or a finite point.
     One mean, one stacked row-norm pass and one displacement call cover all K.
@@ -82,7 +82,7 @@ def record_residuals(
     worst = _max_row_norms(np.concatenate(parts).reshape(-1, n), len(parts) * K)
     tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
     fp = _row_norms(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents).tolist()
-    dist = [None] * K if reference is None else worst[2 * K :]
+    dist = [math.nan] * K if reference is None else worst[2 * K :]
     return worst[:K], fp, dist, worst[K : 2 * K]
 
 
@@ -107,16 +107,18 @@ def weighted_block_norm(x, partition: BlockPartition, probabilities) -> float:
     return float(np.sqrt(total))
 
 
+# One recorded round, in trace file order. An empty float field is NaN and
+# "no block" is -1: only block-sampled rounds draw one, for the k -> k+1 step.
+# max_state_norm, max_i ||x_i|| for boundedness checks, is not written to trace files.
+RECORD = np.dtype(
+    [("k", np.int64), ("alpha_k", np.float64), ("consensus_residual", np.float64), ("fp_residual", np.float64),
+     ("dist_to_ref", np.float64), ("selected_block", np.int64), ("max_state_norm", np.float64)]
+)
+
+
 @dataclass(slots=True)
 class TraceRecord:
-    """One recorded round.
-
-    fp_residual and dist_to_ref are None when not computed (no reference
-    known, for instance); selected_block is None except for block-sampled
-    rounds, where it is the block drawn for the k -> k+1 transition.
-    max_state_norm tracks max_i ||x_i|| for boundedness checks. A record read
-    back from a trace file has neither max_state_norm nor snapshot.
-    """
+    """One row of a trace table as Python values, None standing for NaN and -1."""
 
     k: int
     alpha_k: float
@@ -125,12 +127,15 @@ class TraceRecord:
     dist_to_ref: float | None
     selected_block: int | None
     max_state_norm: float | None
-    snapshot: NDArray[Float] | None = None
 
 
 @dataclass
 class Trace:
-    """Recorded run: metadata plus rows in strictly increasing round order."""
+    """Recorded run: metadata, a RECORD table in strictly increasing round order, and state snapshots.
+
+    snapshots[i] is the (rows, n) state of round snapshot_rounds[i], and every
+    snapshot round is a round of the table; without snapshots both hold zero rounds.
+    """
 
     mode: str
     n_agents: int
@@ -139,17 +144,21 @@ class Trace:
     seed: int
     max_rounds: int
     stepsize: PowerLawStepsize
-    records: list[TraceRecord] = field(default_factory=list)
+    table: NDArray
+    snapshot_rounds: NDArray[np.int64] | None = None
+    snapshots: NDArray[Float] | None = None
     aborted_at: int | None = None
     final_states: NDArray[Float] | None = None
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
+    def __post_init__(self):
+        if self.snapshots is None:
+            self.snapshot_rounds, self.snapshots = np.empty(0, dtype=np.int64), np.empty((0, *self.state_shape))
 
     def last(self) -> TraceRecord:
-        if not self.records:
+        if not len(self.table):
             raise ParameterError("trace has no records")
-        return self.records[-1]
+        *head, block, top = [None if v != v else v for v in self.table[-1].item()]  # NaN is the only v != v
+        return TraceRecord(*head, None if block < 0 else block, top)
 
     @property
     def state_shape(self) -> tuple[int, int]:
@@ -166,10 +175,10 @@ def fit_consensus_rate(trace: Trace, tail_start: int | None = None) -> float:
     """
     if tail_start is None:
         tail_start = trace.max_rounds // 10
-    ratios = [r.consensus_residual / trace.stepsize.alpha_half(r.k) for r in trace.records if r.k >= tail_start]
+    ks, residuals = trace.table["k"].tolist(), trace.table["consensus_residual"].tolist()
+    ratios = [r / trace.stepsize.alpha_half(k) for k, r in zip(ks, residuals) if k >= tail_start]
     if not ratios:
         raise ParameterError(
-            f"no recorded rounds at or after tail_start = {tail_start} (last record: "
-            f"{trace.records[-1].k if trace.records else 'none'})"
+            f"no recorded rounds at or after tail_start = {tail_start} (last record: {ks[-1] if ks else 'none'})"
         )
-    return float(max(ratios))
+    return max(ratios)

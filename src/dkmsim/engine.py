@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .blocks import Float, as_point, as_states
-from .diagnostics import Trace, TraceRecord, record_residuals
+from .diagnostics import RECORD, Trace, TraceRecord, record_residuals  # noqa: F401 (benchmarks name TraceRecord here)
 from .errors import AssumptionError, DimensionMismatchError, DivergenceError, ParameterError
 from .graphs import GraphSchedule, mix, validate_schedule
 from .operators import (
@@ -296,9 +296,9 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     block uniforms drawn BLOCK_DRAWS at a time; only recorded rounds do more.
     The divergence guard runs every round. A record reuses the round's
     alpha_k, and its state waits in a buffer of K = max(2, RECORD_FLOATS //
-    (rows * n)) states; one unchecked record_residuals pass takes all K once
-    the buffer is full, before a DivergenceError is raised and after the
-    final record. The records are bit for bit those taken one at a time.
+    (rows * n)) states; one unchecked record_residuals pass makes all K rows
+    of the table once the buffer is full, before a DivergenceError is raised
+    and after the final record. The rows are bit for bit those taken singly.
     """
     if validate:
         for report in validate_run(config):
@@ -312,50 +312,45 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     rng = np.random.default_rng(config.seed)
     states = initial_states(config, rng)
 
-    trace = Trace(
-        mode=config.mode,
-        n_agents=family.n_agents,
-        n=family.n,
-        block_dims=family.partition.dims,
-        seed=config.seed,
-        max_rounds=config.max_rounds,
-        stepsize=config.stepsize,
-    )
-
-    # every state that reaches a record is finite: RunConfig checked the init and
-    # reference, the divergence guard each round's result. Recorded states wait in
-    # buffer, their (k, alpha_k, block, snapshot) in pending, until the buffer is full.
+    # every state that reaches a record is finite: RunConfig checked the init and reference, the
+    # divergence guard each round's result. Recorded states wait in buffer, their (k, alpha_k, block)
+    # in pending, until a pass writes them into table, which doubles when full (cheaper than a join).
     rows = states.shape[0]
     buffer = np.empty((max(2, RECORD_FLOATS // (rows * family.n)), rows, family.n))
-    pending = []
+    table, count = np.empty(len(buffer), RECORD), 0
+    pending, snapshot_rounds, snapshots = [], [], []
 
-    def queue(k: int, alpha: float, block: int | None) -> None:
-        snap = None
+    def queue(k: int, alpha: float, block: int) -> None:
         if config.snapshot_every is not None and (k % config.snapshot_every == 0 or k == config.max_rounds):
-            snap = states.copy()
+            snapshot_rounds.append(k)
+            snapshots.append(states.copy())
         buffer[len(pending)] = states
-        pending.append((k, alpha, block, snap))
+        pending.append((k, alpha, block))
         if len(pending) == len(buffer):
             flush()
 
     def flush() -> None:
-        if not pending:
-            return
+        nonlocal table, count
+        if count + len(pending) > len(table):
+            table = np.concatenate([table, np.empty_like(table)])
+        out = table[count : count + len(pending)]
+        out["k"], out["alpha_k"], out["selected_block"] = zip(*pending)
         residuals = record_residuals(family, buffer[: len(pending)], config.reference)
-        for (k, alpha, block, snap), consensus, fp, dist, top in zip(pending, *residuals):
-            trace.records.append(
-                TraceRecord(
-                    k=k,
-                    alpha_k=alpha,
-                    consensus_residual=consensus,
-                    fp_residual=fp,
-                    dist_to_ref=dist,
-                    selected_block=block,
-                    max_state_norm=top,
-                    snapshot=snap,
-                )
-            )
+        out["consensus_residual"], out["fp_residual"], out["dist_to_ref"], out["max_state_norm"] = residuals
+        count += len(pending)
         pending.clear()
+
+    def finish(aborted_at: int | None = None, final_states: NDArray[Float] | None = None) -> Trace:
+        if pending:
+            flush()
+        return Trace(
+            mode=config.mode, n_agents=family.n_agents, n=family.n, block_dims=family.partition.dims,
+            seed=config.seed, max_rounds=config.max_rounds, stepsize=config.stepsize,
+            table=table[:count],
+            snapshot_rounds=np.array(snapshot_rounds, dtype=np.int64),
+            snapshots=np.array(snapshots).reshape(len(snapshots), rows, family.n),
+            aborted_at=aborted_at, final_states=final_states,
+        )
 
     mode = config.mode
     alpha_at = config.stepsize.alpha
@@ -368,7 +363,7 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     if mode == "dbkm":
         cumulative = config.selector._cumulative
         slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
-    block = None
+    block = -1
     for k in range(config.max_rounds):
         if mode == "dbkm":
             if k % BLOCK_DRAWS == 0:
@@ -389,14 +384,10 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             tile[:] = states
             new = states + alpha * family.mean_displacement(tile)
         if not np.abs(new).max() <= limit:
-            flush()
-            trace.aborted_at = k + 1
             # the first entry, row-major, that is non-finite or past the limit
             agent, coord = divmod(int(np.argmax(~(np.abs(new) <= limit))), new.shape[1])
-            raise DivergenceError(k, trace, agent=agent, coordinate=coord, last_states=states)
+            raise DivergenceError(k, finish(aborted_at=k + 1), agent=agent, coordinate=coord, last_states=states)
         states = new
 
-    queue(config.max_rounds, alpha_at(config.max_rounds), None)
-    flush()
-    trace.final_states = states
-    return trace
+    queue(config.max_rounds, alpha_at(config.max_rounds), -1)
+    return finish(final_states=states)

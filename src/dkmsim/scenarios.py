@@ -168,16 +168,15 @@ def oracle_smooth_minimizer(
     """Minimizer of sum_i f_i by long plain gradient descent.
 
     Step 1 / sum_i L_i, stopping when the full gradient norm drops below tol.
-    Start at the componentwise mean of the objectives' targets.
+    Start at the targets' mean when each has n entries (an m x n quadratic's has m), else at 0.
     """
     if len(objectives) == 0:
         raise ParameterError("need at least one objective")
     n = objectives[0].n
     total_L = sum(f.lipschitz_L for f in objectives)
     step = 1.0 / total_L
-    x = np.mean([f.target for f in objectives], axis=0).astype(np.float64)
-    if x.shape != (n,):
-        x = np.zeros(n)
+    targets = [f.target for f in objectives]
+    x = np.mean(targets, axis=0) if all(t.shape == (n,) for t in targets) else np.zeros(n)
     for _ in range(max_iters):
         g = np.zeros(n)
         for f in objectives:

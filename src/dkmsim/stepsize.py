@@ -70,13 +70,8 @@ class PowerLawStepsize:
 
 
 def check_stepsize_conditions(schedule: PowerLawStepsize) -> ValidationReport:
-    """Closed-form verdict on conditions (i)-(iii) for a power-law schedule."""
+    """Closed-form verdict on conditions (i)-(iii); (i) holds as PowerLawStepsize refuses alpha_0 > 1."""
     violations = []
-    first = schedule.alpha(0)
-    if first > 1.0:
-        violations.append(
-            Violation("condition (i)", "alpha_0 exceeds 1, so the range constraint fails", first)
-        )
     if schedule.gamma > 1.0:
         violations.append(
             Violation(

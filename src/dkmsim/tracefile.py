@@ -1,33 +1,37 @@
 """Trace CSV files: one row per recorded round, plus a snapshot companion.
 
-Layout: `# key=value` metadata comment lines, then the fixed header
-`k,alpha_k,consensus_residual,fp_residual,dist_to_ref,selected_block`,
-then data rows with at least 12 significant digits; inapplicable fields
-are left empty. An aborted run ends with `# aborted at k=<k>`. Snapshots
-go to the companion file snapshot_path_for(path), with header
-`k,agent,coord_index,value` and one line per cell; read_trace reads both.
+Layout: `# key=value` metadata comment lines, then the header (RECORD's field
+names but max_state_norm), then data rows with at least 12 significant
+digits; NaN and the no-block -1 are left empty. An aborted run ends with
+`# aborted at k=<k>`. Snapshots go to the companion file
+snapshot_path_for(path), with header `k,agent,coord_index,value` and one
+line per cell; read_trace reads both.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Trace, TraceRecord
+from .diagnostics import RECORD, Trace
 from .engine import MODES
 from .errors import ConfigError, DkmsimError
 from .stepsize import PowerLawStepsize
 
-HEADER = "k,alpha_k,consensus_residual,fp_residual,dist_to_ref,selected_block"
+# the trace file columns; max_state_norm stays out of the file
+COLUMNS = RECORD.names[:-1]
+HEADER = ",".join(COLUMNS)
 SNAPSHOT_HEADER = "k,agent,coord_index,value"
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".12g")
+def _cells(column: np.ndarray) -> list[str]:
+    """One table column as trace cells: the no-block -1 and NaN are empty."""
+    if column.dtype.kind == "i":
+        return ["" if v < 0 else str(v) for v in column.tolist()]
+    return ["" if v != v else format(v, ".12g") for v in column.tolist()]
 
 
 def snapshot_path_for(trace_path) -> Path:
@@ -76,19 +80,7 @@ def write_trace(trace: Trace, path) -> None:
     Without snapshots, a companion left at that path by an earlier run is removed.
     """
     lines = ["# dkmsim-trace v1", *(f"# {key}={show(trace)}" for key, (_, _, show) in _META.items()), HEADER]
-    for rec in trace.records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.k),
-                    _fmt(rec.alpha_k),
-                    _fmt(rec.consensus_residual),
-                    _fmt(rec.fp_residual),
-                    _fmt(rec.dist_to_ref),
-                    "" if rec.selected_block is None else str(rec.selected_block),
-                )
-            )
-        )
+    lines += map(",".join, zip(*(_cells(trace.table[name]) for name in COLUMNS)))
     if trace.aborted_at is not None:
         lines.append(f"# aborted at k={trace.aborted_at}")
     try:
@@ -96,16 +88,12 @@ def write_trace(trace: Trace, path) -> None:
     except OSError as e:
         raise ConfigError(f"cannot write trace file: {e}") from e
 
-    snapshots = [rec for rec in trace.records if rec.snapshot is not None]
     snap_lines = [SNAPSHOT_HEADER]
-    for rec in snapshots:
-        for agent in range(rec.snapshot.shape[0]):
-            for coord in range(rec.snapshot.shape[1]):
-                snap_lines.append(
-                    f"{rec.k},{agent},{coord},{format(rec.snapshot[agent, coord], '.17g')}"
-                )
+    for k, state in zip(trace.snapshot_rounds.tolist(), trace.snapshots.tolist()):
+        for agent, row in enumerate(state):
+            snap_lines += (f"{k},{agent},{coord},{format(v, '.17g')}" for coord, v in enumerate(row))
     try:
-        if snapshots:
+        if len(trace.snapshot_rounds):
             snapshot_path_for(path).write_text("\n".join(snap_lines) + "\n")
         else:
             snapshot_path_for(path).unlink(missing_ok=True)
@@ -141,32 +129,68 @@ def _parse_meta(meta: dict, path) -> dict:
     return fields
 
 
-def _parse_field(text: str, path, line_no: int, column: str, caster):
-    if text == "":
-        return None
-    try:
-        value = caster(text)
-    except ValueError as e:
-        raise ConfigError(f"{path}:{line_no}: column {column}: {text!r} is not numeric") from e
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}:{line_no}: column {column}: non-finite value {text!r}")
-    return value
+def _refuse_row(parts: list[str], where: str, last_k: int, max_rounds: int, m: int) -> ConfigError:
+    """The refusal of a data row _parse_rows found at fault, naming its first fault."""
+    if len(parts) != len(COLUMNS):
+        return ConfigError(f"{where}: expected {len(COLUMNS)} columns, got {len(parts)}")
+    values = {}
+    for name, text in zip(COLUMNS, parts):
+        try:
+            values[name] = (int if RECORD[name].kind == "i" else float)(text) if text else None
+        except ValueError:
+            return ConfigError(f"{where}: column {name}: {text!r} is not numeric")
+        if text and not math.isfinite(values[name]):
+            return ConfigError(f"{where}: column {name}: non-finite value {text!r}")
+    k = values["k"]
+    if None in (k, values["alpha_k"], values["consensus_residual"]):
+        return ConfigError(f"{where}: k, alpha_k, consensus_residual must be present")
+    if not 0 <= k <= max_rounds:
+        return ConfigError(f"{where}: round {k} lies outside 0..{max_rounds}, the rounds a run records")
+    if k <= last_k:
+        return ConfigError(f"{where}: round {k} does not increase past {last_k}")
+    return ConfigError(f"{where}: column selected_block: block {values['selected_block']} is not one of 0..{m - 1}")
+
+
+def _parse_rows(data: list[tuple[int, str]], path, max_rounds: int, m: int) -> np.ndarray:
+    """The RECORD table of the data rows: empty fields read as NaN and -1, max_state_norm as NaN.
+
+    Refuses a row that does not parse, and one that no run writes: a run
+    records rounds 0..max_rounds in increasing order and draws blocks 0..m-1.
+    """
+    rows, last_k = [], -1
+    for line_no, line in data:
+        parts = line.split(",")
+        try:
+            k, alpha, consensus, fp, dist, block = parts
+            row = (int(k), float(alpha), float(consensus), float(fp or "nan"), float(dist or "nan"), int(block or -1))
+        except ValueError:
+            row = None
+        if row is None or not (
+            last_k < row[0] <= max_rounds
+            and (not block or 0 <= row[5] < m)
+            and math.isfinite(row[1]) and math.isfinite(row[2])
+            and (not fp or math.isfinite(row[3])) and (not dist or math.isfinite(row[4]))
+        ):
+            raise _refuse_row(parts, f"{path}:{line_no}", last_k, max_rounds, m)
+        rows.append((*row, math.nan))
+        last_k = row[0]
+    return np.array(rows, dtype=RECORD)
 
 
 def read_trace(path) -> Trace:
     """Parse a trace file and, when there is one, its snapshot companion.
 
-    Refuses malformed metadata and rows, non-increasing rounds, and a
-    companion that read_snapshots refuses or that holds a round the trace did
-    not record. Each companion round's state is the snapshot of that round's
-    record; the records carry no max_state_norm, which the CSV does not store.
+    Refuses malformed metadata and rows, rows no run could write (see
+    _parse_rows), and a companion that read_snapshots refuses or that holds a
+    round the trace did not record. The table's max_state_norm column is NaN:
+    the CSV does not store it.
     """
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read trace file: {e}") from e
     meta: dict = {}
-    records: list[TraceRecord] = []
+    data: list[tuple[int, str]] = []
     aborted_at = None
     header_seen = False
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -189,44 +213,23 @@ def read_trace(path) -> Trace:
                 raise ConfigError(f"{path}:{line_no}: expected header {HEADER!r}, got {line!r}")
             header_seen = True
             continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ConfigError(f"{path}:{line_no}: expected 6 columns, got {len(parts)}")
-        k = _parse_field(parts[0], path, line_no, "k", int)
-        alpha = _parse_field(parts[1], path, line_no, "alpha_k", float)
-        cons = _parse_field(parts[2], path, line_no, "consensus_residual", float)
-        if k is None or alpha is None or cons is None:
-            raise ConfigError(f"{path}:{line_no}: k, alpha_k, consensus_residual must be present")
-        if records and k <= records[-1].k:
-            raise ConfigError(f"{path}:{line_no}: round {k} does not increase past {records[-1].k}")
-        records.append(
-            TraceRecord(
-                k=k,
-                alpha_k=alpha,
-                consensus_residual=cons,
-                fp_residual=_parse_field(parts[3], path, line_no, "fp_residual", float),
-                dist_to_ref=_parse_field(parts[4], path, line_no, "dist_to_ref", float),
-                selected_block=_parse_field(parts[5], path, line_no, "selected_block", int),
-                max_state_norm=None,
-            )
-        )
+        data.append((line_no, line))
     if not header_seen:
         raise ConfigError(f"{path}: no header row found")
-    trace = Trace(**_parse_meta(meta, path), records=records, aborted_at=aborted_at)
+    fields = _parse_meta(meta, path)
+    table = _parse_rows(data, path, fields["max_rounds"], len(fields["block_dims"]))
+    trace = Trace(**fields, table=table, aborted_at=aborted_at)
     snapshot_path = snapshot_path_for(path)
     if snapshot_path.exists():
-        rounds, states = read_snapshots(snapshot_path, trace.state_shape)
-        ks = [rec.k for rec in records]
-        for k, state in zip(rounds, states):
-            i = bisect_left(ks, k)
-            if i == len(ks) or ks[i] != k:
-                raise ConfigError(f"{snapshot_path}: snapshot round {k} is not a round the trace recorded")
-            records[i].snapshot = state
+        trace.snapshot_rounds, trace.snapshots = read_snapshots(snapshot_path, trace.state_shape)
+        stray = trace.snapshot_rounds[~np.isin(trace.snapshot_rounds, trace.table["k"])]
+        if len(stray):
+            raise ConfigError(f"{snapshot_path}: snapshot round {stray[0]} is not a round the trace recorded")
     return trace
 
 
-def read_snapshots(path, shape: tuple[int, int]) -> tuple[list[int], np.ndarray]:
-    """Parse a companion of (rows, n) states into its rounds and one (rounds, rows, n) array.
+def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a companion of (rows, n) states into its int64 rounds and one (rounds, rows, n) array.
 
     The cells must come in write_trace's order: rounds increasing, and each
     round's rows x n cells agent by agent, coordinates increasing.
@@ -267,4 +270,4 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[list[int], np.ndarray]
         values.append(value)
     if len(values) % len(cells):
         raise ConfigError(f"{path}: round {rounds[-1]} has {len(values) % len(cells)} of {rows} x {n} snapshot cells")
-    return rounds, np.array(values).reshape(len(rounds), rows, n)
+    return np.array(rounds, dtype=np.int64), np.array(values).reshape(len(rounds), rows, n)

@@ -142,7 +142,7 @@ def test_criterion_4_degeneracy_identities():
     )
     trace = run(config)
     traj = centralized_km(family, x0[0], STEP, 1000)
-    snaps = [rec.snapshot for rec in trace.records if rec.snapshot is not None]
+    snaps = trace.snapshots
     single_agent = len(snaps) == 1001 and all(
         np.array_equal(snap[0], traj[k]) for k, snap in enumerate(snaps)
     )
@@ -159,9 +159,10 @@ def test_criterion_4_degeneracy_identities():
     )
     full = run(RunConfig(mode="dkm", **kwargs))
     blocked = run(RunConfig(mode="dbkm", selector=BlockSelector((1.0,)), **kwargs))
-    pairs = zip(full.records, blocked.records)
-    single_block = np.array_equal(full.final_states, blocked.final_states) and all(
-        a.snapshot is None or np.array_equal(a.snapshot, b.snapshot) for a, b in pairs
+    single_block = (
+        np.array_equal(full.final_states, blocked.final_states)
+        and full.snapshot_rounds.tolist() == blocked.snapshot_rounds.tolist()
+        and np.array_equal(full.snapshots, blocked.snapshots)
     )
 
     # (c) gradient-step members: one round is the descent update, within 1 ulp
@@ -375,8 +376,8 @@ def test_criterion_8_boundedness(dkm6, dbkm_batch, linear_batch):
     # it had reached by the first tenth of the round budget
     worst_ratio = 0.0
     for trace in [dkm6[0]] + dbkm_batch[0] + linear_batch:
-        norms = trace.column("max_state_norm")
-        ks = trace.column("k")
+        norms = trace.table["max_state_norm"].tolist()
+        ks = trace.table["k"].tolist()
         tenth = trace.max_rounds // 10
         early_peak = max(v for k, v in zip(ks, norms) if k <= tenth)
         worst_ratio = max(worst_ratio, max(norms) / early_peak)
@@ -398,9 +399,8 @@ def test_criterion_9_byte_identical_traces(tmp_path, capsys):
             assert code == EXIT_OK
         outcomes[preset] = a.read_bytes() == b.read_bytes()
         if preset == "paper-dbkm-100":
-            rows = read_trace(a).records
-            drawn = [r.selected_block for r in rows[:-1]]
-            outcomes["block column"] = all(isinstance(d, int) for d in drawn) and len(set(drawn)) > 1
+            drawn = read_trace(a).table["selected_block"][:-1].tolist()
+            outcomes["block column"] = all(d >= 0 for d in drawn) and len(set(drawn)) > 1
     capsys.readouterr()
     report(
         9,

@@ -1,12 +1,22 @@
 """Command-line interface: exit codes, output text, and written files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 import yaml
 
 import dkmsim.cli
-from dkmsim import load_config, read_trace, save_config, scenario_from_config, snapshot_path_for
+from dkmsim import (
+    build_preset,
+    load_config,
+    read_trace,
+    run,
+    save_config,
+    scenario_from_config,
+    snapshot_path_for,
+    write_trace,
+)
 from dkmsim.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from dkmsim.errors import DivergenceError
 from dkmsim.scenarios import PRESET_NAMES
@@ -87,7 +97,7 @@ def test_run_writes_trace(capsys, config_file, tmp_path):
     assert "trace written to" in out
     assert "final consensus residual" in out
     trace = read_trace(tmp_path / "t.csv")
-    assert trace.records[-1].k == 300
+    assert trace.last().k == 300
     assert trace.mode == "dkm"
 
 
@@ -116,7 +126,7 @@ def test_run_overrides(capsys, config_file, tmp_path):
     assert code == EXIT_OK
     assert "snapshots written to" in out
     parsed = read_trace(out_path)
-    assert parsed.records[-1].k == 50
+    assert parsed.last().k == 50
     assert parsed.max_rounds == 50
     assert (tmp_path / "short.snapshots.csv").exists()
     assert not (tmp_path / "t.csv").exists()
@@ -159,7 +169,7 @@ def test_run_seed_override_moves_seed_dependent_reference(capsys, consensus_file
         code, out, _ = cli(capsys, "run", str(consensus_file), "--seed", seed)
         assert code == EXIT_OK
         assert f"seed {seed}" in out
-        assert read_trace(tmp_path / "c.csv").records[-1].dist_to_ref < 1e-12
+        assert read_trace(tmp_path / "c.csv").last().dist_to_ref < 1e-12
 
 
 def test_run_validates_overrides_on_config_file(capsys, consensus_file, tmp_path):
@@ -235,7 +245,7 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     assert "diverged after round" in out
     parsed = read_trace(tmp_path / "d.csv")
     assert parsed.aborted_at is not None
-    assert parsed.records[-1].k < 500
+    assert parsed.last().k < 500
     # the line names the round, agent and coordinate that blew up
     last_round = parsed.aborted_at - 1
     assert out.splitlines() == [
@@ -343,6 +353,30 @@ def test_oracle_names_the_normal_equations(capsys):
     assert "normal-equations" in out
 
 
+def test_dgd_config_with_targets_of_unequal_length_runs(capsys, tmp_path):
+    # a 2 x 3 quadratic's target lies in R^2, the huber's in R^3: the oracle starts from the origin
+    doc = base_doc(tmp_path / "t.csv")
+    doc["problem"] = {
+        "kind": "dgd",
+        "tau": 0.5,
+        "objectives": [
+            {"kind": "quadratic", "matrix": [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]], "target": [1.0, -1.0]},
+            {"kind": "huber", "target": [0.5, 0.5, 2.0], "delta": 1.0},
+        ],
+    }
+    path = tmp_path / "mixed.yaml"
+    save_config(doc, path)
+    code, out, err = cli(capsys, "oracle", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "source: centralized gradient descent" in out
+    code, out, err = cli(capsys, "validate", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "all checks passed"
+    code, out, err = cli(capsys, "run", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert read_trace(tmp_path / "t.csv").last().k == 300
+
+
 def test_oracle_on_config_reference_override(capsys, tmp_path):
     doc = base_doc(tmp_path / "t.csv")
     doc["run"]["reference"] = [1.5]
@@ -435,7 +469,7 @@ def test_compare_refuses_reference_without_snapshots(capsys, tmp_path):
     trace = tmp_path / "n.csv"
     assert main(["run", "paper-dkm-6", "--max-rounds", "100", "--output", str(trace)]) == EXIT_OK
     capsys.readouterr()
-    assert read_trace(trace).records[-1].dist_to_ref is not None
+    assert read_trace(trace).last().dist_to_ref is not None
     code, out, _ = cli(capsys, "compare", str(trace), "--reference", "[99.0, 99.0, 99.0]")
     assert code == EXIT_PARSE
     assert out.splitlines() == ["trace has no snapshot of its final round k=100; cannot apply the reference"]
@@ -462,6 +496,19 @@ def _set_meta(key, value):
         lines = files["trace"].splitlines()
         i = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}="))
         lines[i : i + 1] = [] if value is None else [f"# {key}={value}"]
+        files["trace"] = "\n".join(lines) + "\n"
+
+    return edit
+
+
+def _set_last_row(column, value):
+    """An edit that sets one field of the trace's last data row, line 112 of dkm6_trace."""
+
+    def edit(files):
+        lines = files["trace"].splitlines()
+        parts = lines[-1].split(",")
+        parts[column] = value
+        lines[-1] = ",".join(parts)
         files["trace"] = "\n".join(lines) + "\n"
 
     return edit
@@ -499,6 +546,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_meta("gamma", None), "{trace}: trace metadata lacks gamma"),
         ((), _set_meta("mode", "warp"), "{trace}: trace metadata mode='warp' is not one of"),
         (("--tail-start", "-5"), None, "--tail-start must be >= 0, got -5"),
+        ((), _set_last_row(0, "500"), "{trace}:112: round 500 lies outside 0..100"),
+        ((), _set_last_row(5, "1"), "{trace}:112: column selected_block: block 1 is not one of 0..0"),
+        ((), _set_last_row(5, "-1"), "{trace}:112: column selected_block: block -1 is not one of 0..0"),
     ],
     ids=[
         "reference-length",
@@ -519,6 +569,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "missing-gamma",
         "unknown-mode",
         "negative-tail-start",
+        "round-past-max-rounds",
+        "block-past-the-partition",
+        "negative-block",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):
@@ -543,7 +596,7 @@ def test_compare_tail_start_past_end(capsys, finished_trace):
 
 def test_compare_tail_may_start_at_the_last_round(capsys, finished_trace):
     trace = read_trace(finished_trace)
-    last = trace.records[-1]
+    last = trace.last()
     code, out, _ = cli(capsys, "compare", str(finished_trace), "--tail-start", str(last.k))
     assert code == EXIT_OK
     fitted = last.consensus_residual / trace.stepsize.alpha_half(last.k)
@@ -557,6 +610,40 @@ def test_compare_missing_trace(capsys, tmp_path):
     code, _, err = cli(capsys, "compare", str(tmp_path / "none.csv"))
     assert code == EXIT_PARSE
     assert "config error" in err
+
+
+def test_compare_header_only_trace(capsys, dkm6_trace, tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("".join(line for line in dkm6_trace.read_text().splitlines(True) if not line[0].isdigit()))
+    code, out, err = cli(capsys, "compare", str(trace))
+    assert (code, out, err) == (EXIT_PARSE, "trace has no data rows\n", "")
+
+
+def test_compare_notes_an_aborted_run(capsys, tmp_path):
+    # one agent whose state doubles every round, as in the divergence test above
+    doc = {
+        "problem": {"kind": "consensus", "agents": 1, "dimension": 1},
+        "graph": {"matrices": [[[2.0]]], "window": 1, "weight_floor": 0.4},
+        "stepsize": {"gamma": 0.7},
+        "run": {"mode": "dkm", "max_rounds": 500, "seed": 0},
+        "output": {"trace": str(tmp_path / "d.csv")},
+    }
+    save_config(doc, tmp_path / "doubling.yaml")
+    assert cli(capsys, "run", str(tmp_path / "doubling.yaml"), "--skip-validate")[0] == EXIT_DIVERGENCE
+    aborted_at = read_trace(tmp_path / "d.csv").aborted_at
+    code, out, err = cli(capsys, "compare", str(tmp_path / "d.csv"), "--tail-start", "0")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == [f"note: run aborted at k={aborted_at}", f"final round: {aborted_at - 1}"]
+
+
+def test_compare_max_dist_without_a_distance_column(capsys, tmp_path):
+    trace = tmp_path / "t.csv"
+    write_trace(run(replace(build_preset("paper-dkm-6", max_rounds=100).config, reference=None)), trace)
+    assert read_trace(trace).last().dist_to_ref is None
+    code, out, err = cli(capsys, "compare", str(trace), "--max-dist", "1")
+    assert (code, err) == (EXIT_PARSE, "")
+    assert "final distance to reference" not in out
+    assert out.splitlines()[-1] == "no distance available to test against --max-dist"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dkmsim import (
     mean_state,
     weighted_block_norm,
 )
-from dkmsim.diagnostics import record_residuals
+from dkmsim.diagnostics import RECORD, record_residuals
 from dkmsim.errors import DimensionMismatchError, ParameterError
 
 
@@ -118,7 +118,7 @@ def test_record_residuals_equal_the_public_diagnostics(kind):
                 for j, x in enumerate(states):
                     assert consensus[j] == consensus_residual(x)
                     assert fp[j] == fixed_point_residual(family, x.mean(axis=0))
-                    assert dist[j] == (None if ref is None else distance_to_reference(x, ref))
+                    assert np.isnan(dist[j]) if ref is None else dist[j] == distance_to_reference(x, ref)
                     assert top[j] == np.linalg.norm(x, axis=1).max()
 
 
@@ -158,18 +158,7 @@ def test_block_norm_sandwich():
 
 
 def make_trace(ks, residuals, stepsize, max_rounds):
-    records = [
-        TraceRecord(
-            k=k,
-            alpha_k=stepsize.alpha(k),
-            consensus_residual=r,
-            fp_residual=None,
-            dist_to_ref=None,
-            selected_block=None,
-            max_state_norm=1.0,
-        )
-        for k, r in zip(ks, residuals)
-    ]
+    table = np.array([(k, stepsize.alpha(k), r, np.nan, np.nan, -1, 1.0) for k, r in zip(ks, residuals)], dtype=RECORD)
     return Trace(
         mode="dkm",
         n_agents=2,
@@ -178,7 +167,7 @@ def make_trace(ks, residuals, stepsize, max_rounds):
         seed=0,
         max_rounds=max_rounds,
         stepsize=stepsize,
-        records=records,
+        table=table,
     )
 
 
@@ -208,9 +197,11 @@ def test_fit_consensus_rate_empty_tail():
 def test_trace_column_and_last():
     ss = PowerLawStepsize(1.0, 0.7, 1)
     trace = make_trace([0, 1], [0.5, 0.25], ss, 2)
-    assert trace.column("k") == [0, 1]
-    assert trace.column("consensus_residual") == [0.5, 0.25]
-    assert trace.last().k == 1
+    assert trace.table["k"].tolist() == [0, 1]
+    assert trace.table["consensus_residual"].tolist() == [0.5, 0.25]
+    # NaN and the no-block -1 read back as None
+    assert trace.last() == TraceRecord(1, ss.alpha(1), 0.25, None, None, None, 1.0)
+    assert trace.snapshot_rounds.shape == (0,) and trace.snapshots.shape == (0, 2, 1)
     empty = make_trace([], [], ss, 2)
     with pytest.raises(ParameterError):
         empty.last()

@@ -298,7 +298,7 @@ def test_identity_family_consensus_matches_matrix_powers():
     )
     trace = run(config)
     assert np.allclose(trace.final_states, oracle, atol=1e-12)
-    residuals = trace.column("consensus_residual")
+    residuals = trace.table["consensus_residual"].tolist()
     assert residuals[-1] < 1e-8
     assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
 
@@ -317,7 +317,7 @@ def test_single_agent_run_equals_centralized():
     )
     trace = run(config)
     traj = centralized_km(family, x0[0], STEP, 1000)
-    snaps = [rec.snapshot for rec in trace.records if rec.snapshot is not None]
+    snaps = trace.snapshots
     assert len(snaps) == 1001
     for k, snap in enumerate(snaps):
         assert np.array_equal(snap[0], traj[k]), f"diverged from centralized at round {k}"
@@ -335,7 +335,7 @@ def test_centralized_run_equals_centralized_km(init):
     else:
         x0 = init.mean(axis=0)
     traj = centralized_km(family, x0, STEP, 300)
-    snaps = [rec.snapshot for rec in trace.records if rec.snapshot is not None]
+    snaps = trace.snapshots
     assert len(snaps) == 301
     for k, snap in enumerate(snaps):
         assert snap.shape == (1, family.n)
@@ -350,7 +350,7 @@ def test_single_block_run_equals_full_run():
     full = run(RunConfig(mode="dkm", **kwargs))
     blocked = run(RunConfig(mode="dbkm", selector=BlockSelector((1.0,)), **kwargs))
     assert np.array_equal(full.final_states, blocked.final_states)
-    assert full.column("consensus_residual") == blocked.column("consensus_residual")
+    assert full.table["consensus_residual"].tolist() == blocked.table["consensus_residual"].tolist()
 
 
 def test_gradient_step_round_is_a_descent_update():
@@ -557,7 +557,7 @@ def test_run_records_every_round_below_thousand():
     family = mixed_family()
     config = RunConfig(family=family, stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=500)
     trace = run(config)
-    assert trace.column("k") == list(range(501))
+    assert trace.table["k"].tolist() == list(range(501))
     assert trace.last().k == 500
     assert trace.final_states.shape == (4, 4)
     assert trace.aborted_at is None
@@ -567,7 +567,7 @@ def test_run_thins_records_after_thousand():
     family = mixed_family()
     config = RunConfig(family=family, stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=5000)
     trace = run(config)
-    ks = trace.column("k")
+    ks = trace.table["k"].tolist()
     assert ks[-1] == 5000
     assert len(ks) < 5001
     assert all(a < b for a, b in zip(ks, ks[1:]))
@@ -582,7 +582,7 @@ def test_run_record_every_override():
         family=family, stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=100, record_every=30
     )
     trace = run(config)
-    assert trace.column("k") == [0, 30, 60, 90, 100]
+    assert trace.table["k"].tolist() == [0, 30, 60, 90, 100]
 
 
 def test_run_snapshot_cadence():
@@ -595,9 +595,8 @@ def test_run_snapshot_cadence():
         snapshot_every=40,
     )
     trace = run(config)
-    snap_ks = [rec.k for rec in trace.records if rec.snapshot is not None]
-    assert snap_ks == [0, 40, 80, 100]
-    assert np.array_equal(trace.records[-1].snapshot, trace.final_states)
+    assert trace.snapshot_rounds.tolist() == [0, 40, 80, 100]
+    assert np.array_equal(trace.snapshots[-1], trace.final_states)
 
 
 def test_run_block_column():
@@ -612,8 +611,8 @@ def test_run_block_column():
         seed=5,
     )
     trace = run(config)
-    blocks = trace.column("selected_block")
-    assert blocks[-1] is None  # final row has no outgoing step
+    blocks = trace.table["selected_block"].tolist()
+    assert blocks[-1] == -1  # final row has no outgoing step
     drawn = [b for b in blocks[:-1]]
     assert all(b in (0, 1, 2) for b in drawn)
     assert len(set(drawn)) > 1
@@ -630,8 +629,8 @@ def test_run_reference_column():
         reference=ref,
     )
     trace = run(config)
-    dists = trace.column("dist_to_ref")
-    assert all(d is not None and d >= 0 for d in dists)
+    dists = trace.table["dist_to_ref"]
+    assert np.all(dists >= 0)  # NaN, an empty distance, fails this
 
 
 def test_run_is_deterministic():
@@ -648,10 +647,10 @@ def test_run_is_deterministic():
     t1 = run(RunConfig(**kwargs))
     t2 = run(RunConfig(**kwargs))
     assert np.array_equal(t1.final_states, t2.final_states)
-    assert t1.column("selected_block") == t2.column("selected_block")
-    assert t1.column("consensus_residual") == t2.column("consensus_residual")
+    assert t1.table["selected_block"].tolist() == t2.table["selected_block"].tolist()
+    assert t1.table["consensus_residual"].tolist() == t2.table["consensus_residual"].tolist()
     t3 = run(RunConfig(**{**kwargs, "seed": 22}))
-    assert t3.column("selected_block") != t1.column("selected_block")
+    assert t3.table["selected_block"].tolist() != t1.table["selected_block"].tolist()
 
 
 def test_run_divergence_aborts_with_partial_trace():
@@ -673,7 +672,7 @@ def test_run_divergence_aborts_with_partial_trace():
     trace = exc.value.trace
     assert trace.aborted_at == exc.value.last_round + 1
     assert trace.aborted_at < 50  # doubling passes 1e6 after ~20 rounds
-    assert len(trace.records) > 0
+    assert len(trace.table) > 0
     assert trace.final_states is None
 
 
@@ -722,11 +721,13 @@ def records_per_pass(mode, family):
 
 
 def assert_records_match(trace, expected):
-    assert [rec.k for rec in trace.records] == [k for k, _, _ in expected]
-    assert [rec.selected_block for rec in trace.records] == [b for _, b, _ in expected]
-    for rec, (k, _, states) in zip(trace.records, expected):
-        assert np.array_equal(rec.snapshot, states), f"state differs from the checked steps at round {k}"
-        assert rec.alpha_k == trace.stepsize.alpha(k)
+    """Rows and snapshots against the checked steps; a table's no-block is -1 where expected has None."""
+    assert trace.table["k"].tolist() == [k for k, _, _ in expected]
+    assert trace.table["selected_block"].tolist() == [-1 if b is None else b for _, b, _ in expected]
+    assert trace.snapshot_rounds.tolist() == trace.table["k"].tolist()
+    for row, snapshot, (k, _, states) in zip(trace.table, trace.snapshots, expected):
+        assert np.array_equal(snapshot, states), f"state differs from the checked steps at round {k}"
+        assert row["alpha_k"] == trace.stepsize.alpha(k)
 
 
 KERNEL_MODES = {
@@ -784,23 +785,23 @@ def test_run_equals_checked_steps(mode, rounds, record_every):
 
 
 def assert_records_equal_the_public_diagnostics(trace, family, reference):
-    """Every record's fields against the public diagnostics of its snapshot, bit for bit."""
-    for rec in trace.records:
-        states = rec.snapshot
+    """Every row's fields against the public diagnostics of its snapshot, bit for bit; NaN where no reference."""
+    assert trace.snapshot_rounds.tolist() == trace.table["k"].tolist()
+    for row, states in zip(trace.table, trace.snapshots):
         xbar = states.mean(axis=0)
-        assert rec.alpha_k == trace.stepsize.alpha(rec.k)
-        assert rec.consensus_residual == consensus_residual(states)
-        assert rec.fp_residual == fixed_point_residual(family, xbar)
-        assert rec.max_state_norm == np.linalg.norm(states, axis=1).max()
+        assert row["alpha_k"] == trace.stepsize.alpha(int(row["k"]))
+        assert row["consensus_residual"] == consensus_residual(states)
+        assert row["fp_residual"] == fixed_point_residual(family, xbar)
+        assert row["max_state_norm"] == np.linalg.norm(states, axis=1).max()
         if reference is None:
-            assert rec.dist_to_ref is None
+            assert np.isnan(row["dist_to_ref"])
         else:
-            assert rec.dist_to_ref == distance_to_reference(states, reference)
-            assert rec.dist_to_ref == np.linalg.norm(states - reference, axis=1).max()
+            assert row["dist_to_ref"] == distance_to_reference(states, reference)
+            assert row["dist_to_ref"] == np.linalg.norm(states - reference, axis=1).max()
         # the public diagnostics are np.linalg.norm of the defining expressions, bit for bit
-        assert rec.consensus_residual == np.linalg.norm(states - xbar, axis=1).max()
+        assert row["consensus_residual"] == np.linalg.norm(states - xbar, axis=1).max()
         tiled = np.repeat(xbar[None, :], family.n_agents, axis=0)
-        assert rec.fp_residual == np.linalg.norm(family.displacement_all(tiled).mean(axis=0))
+        assert row["fp_residual"] == np.linalg.norm(family.displacement_all(tiled).mean(axis=0))
 
 
 @pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
@@ -823,7 +824,7 @@ def test_records_equal_the_public_diagnostics(mode, reference):
             **KERNEL_MODES[mode],
         )
         trace = run(config)
-        assert [rec.k for rec in trace.records] == list(range(rounds + 1))
+        assert trace.table["k"].tolist() == list(range(rounds + 1))
         assert_records_equal_the_public_diagnostics(trace, family, reference)
 
 
@@ -932,7 +933,7 @@ def test_divergence_next_to_a_record_pass_keeps_every_record(mode, offset):
         run(config, validate=False)
     trace = exc.value.trace
     assert exc.value.last_round == fatal
-    assert len(trace.records) == fatal + 1
+    assert len(trace.table) == fatal + 1
     assert_records_match(trace, expected)
     assert_records_equal_the_public_diagnostics(trace, family, None)
 

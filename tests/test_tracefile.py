@@ -18,8 +18,11 @@ from dkmsim import (
     snapshot_path_for,
     write_trace,
 )
+from dkmsim.diagnostics import RECORD
 from dkmsim.errors import ConfigError, DivergenceError
 from dkmsim.tracefile import read_snapshots
+
+FLOAT_COLUMNS = ("alpha_k", "consensus_residual", "fp_residual", "dist_to_ref")
 
 
 @pytest.fixture(scope="module")
@@ -47,16 +50,14 @@ def test_round_trip_full_mode(dkm_trace, tmp_path):
     assert parsed.max_rounds == 200
     assert parsed.stepsize == dkm_trace.stepsize
     assert parsed.state_shape == (6, 3)
-    assert len(parsed.records) == len(dkm_trace.records)
-    for row, rec in zip(parsed.records, dkm_trace.records):
-        assert row.k == rec.k
-        assert row.alpha_k == pytest.approx(rec.alpha_k, rel=1e-11)
-        assert row.consensus_residual == pytest.approx(rec.consensus_residual, rel=1e-11, abs=1e-300)
-        assert row.fp_residual == pytest.approx(rec.fp_residual, rel=1e-11, abs=1e-300)
-        assert row.dist_to_ref == pytest.approx(rec.dist_to_ref, rel=1e-11, abs=1e-300)
-        assert row.selected_block is None
-        assert row.max_state_norm is None
-        assert (row.snapshot is None) == (rec.snapshot is None)
+    assert parsed.table.dtype == RECORD
+    assert parsed.table["k"].tolist() == dkm_trace.table["k"].tolist()
+    assert parsed.table["alpha_k"] == pytest.approx(dkm_trace.table["alpha_k"], rel=1e-11)
+    for name in ("consensus_residual", "fp_residual", "dist_to_ref"):
+        assert parsed.table[name] == pytest.approx(dkm_trace.table[name], rel=1e-11, abs=1e-300), name
+    assert (parsed.table["selected_block"] == -1).all()
+    assert np.isnan(parsed.table["max_state_norm"]).all()
+    assert parsed.snapshot_rounds.tolist() == dkm_trace.snapshot_rounds.tolist()
 
 
 def test_round_trip_block_mode(dbkm_trace, tmp_path):
@@ -66,21 +67,19 @@ def test_round_trip_block_mode(dbkm_trace, tmp_path):
     assert parsed.mode == "dbkm"
     assert parsed.block_dims == (1, 1, 1)
     # every row but the last carries the block drawn for the ensuing step
-    for row, rec in zip(parsed.records[:-1], dbkm_trace.records[:-1]):
-        assert row.selected_block == rec.selected_block
-        assert isinstance(row.selected_block, int)
-    assert parsed.records[-1].selected_block is None
+    blocks = parsed.table["selected_block"].tolist()
+    assert blocks[:-1] == dbkm_trace.table["selected_block"][:-1].tolist()
+    assert all(b in (0, 1, 2) for b in blocks[:-1])
+    assert blocks[-1] == -1
 
 
 def test_snapshots_round_trip_exactly(dkm_trace, tmp_path):
     path = tmp_path / "run.csv"
     write_trace(dkm_trace, path)
-    snaps = {rec.k: rec.snapshot for rec in read_trace(path).records if rec.snapshot is not None}
-    recorded = {rec.k: rec.snapshot for rec in dkm_trace.records if rec.snapshot is not None}
-    assert sorted(snaps) == sorted(recorded) == [0, 50, 100, 150, 200]
-    for k, arr in recorded.items():
-        # 17 significant digits reproduce float64 bit for bit
-        assert np.array_equal(snaps[k], arr)
+    parsed = read_trace(path)
+    assert parsed.snapshot_rounds.tolist() == dkm_trace.snapshot_rounds.tolist() == [0, 50, 100, 150, 200]
+    # 17 significant digits reproduce float64 bit for bit
+    assert np.array_equal(parsed.snapshots, dkm_trace.snapshots)
 
 
 def test_snapshot_path_naming():
@@ -113,7 +112,7 @@ def test_abort_marker_round_trips(tmp_path):
     assert f"# aborted at k={trace.aborted_at}" in path.read_text()
     parsed = read_trace(path)
     assert parsed.aborted_at == trace.aborted_at
-    assert parsed.records[-1].k < trace.aborted_at
+    assert parsed.table["k"][-1] < trace.aborted_at
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +152,35 @@ def test_non_finite_value_rejected(dkm_trace, tmp_path):
 
     path = write_then_edit(dkm_trace, tmp_path, poison)
     with pytest.raises(ConfigError, match="non-finite"):
+        read_trace(path)
+
+
+def _edit_field(lines, row, column, text):
+    """Set one field of data row `row` (0 is the first, -1 the last); returns its 1-based line number."""
+    first = lines.index(next(x for x in lines if x.startswith("k,"))) + 1
+    i = first + row if row >= 0 else len(lines) + row
+    parts = lines[i].split(",")
+    parts[column] = text
+    lines[i] = ",".join(parts)
+    return i + 1
+
+
+@pytest.mark.parametrize("row, k", [(0, "-3"), (-1, "500"), (-1, "201")])
+def test_round_outside_the_run_rejected(dkm_trace, tmp_path, row, k):
+    # dkm_trace ran 200 rounds, so its rows are rounds 0..200
+    edited = []
+    path = write_then_edit(dkm_trace, tmp_path, lambda L: edited.append(_edit_field(L, row, 0, k)))
+    with pytest.raises(ConfigError, match=rf"tampered\.csv:{edited[0]}: round {k} lies outside 0\.\.200"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("block", ["-1", "3", "7"])
+def test_block_outside_the_partition_rejected(dbkm_trace, tmp_path, block):
+    # dbkm_trace draws from three blocks; -1 would read back as "no block"
+    edited = []
+    path = write_then_edit(dbkm_trace, tmp_path, lambda L: edited.append(_edit_field(L, 2, 5, block)))
+    message = rf"tampered\.csv:{edited[0]}: column selected_block: block {block} is not one of 0\.\.2"
+    with pytest.raises(ConfigError, match=message):
         read_trace(path)
 
 
@@ -281,16 +309,15 @@ def test_trace_reads_back_as_written(kind, tmp_path):
     write_trace(trace, path)
     parsed = read_trace(path)
     assert (parsed.mode, parsed.aborted_at, parsed.state_shape) == (trace.mode, trace.aborted_at, trace.state_shape)
-    assert len(parsed.records) == len(trace.records)
-    snapshot_rounds = []
-    for row, rec in zip(parsed.records, trace.records):
-        assert (row.k, row.selected_block) == (rec.k, rec.selected_block)
-        for name in ("alpha_k", "consensus_residual", "fp_residual", "dist_to_ref"):
-            assert getattr(row, name) == pytest.approx(getattr(rec, name), rel=1e-11, abs=1e-300), name
-        assert (row.snapshot is None) == (rec.snapshot is None)
-        if rec.snapshot is not None:
-            assert row.snapshot.tobytes() == rec.snapshot.tobytes()
-            snapshot_rounds.append(row.k)
+    assert len(parsed.table) == len(trace.table)
+    for name in ("k", "selected_block"):
+        assert parsed.table[name].tolist() == trace.table[name].tolist(), name
+    for name in FLOAT_COLUMNS:
+        # NaN, an empty field, reads back as NaN
+        assert parsed.table[name] == pytest.approx(trace.table[name], rel=1e-11, abs=1e-300, nan_ok=True), name
+    snapshot_rounds = parsed.snapshot_rounds.tolist()
+    assert snapshot_rounds == trace.snapshot_rounds.tolist()
+    assert parsed.snapshots.tobytes() == trace.snapshots.tobytes()
     assert snapshot_rounds and all(k % 7 == 0 for k in snapshot_rounds[:-1])
 
 
@@ -330,9 +357,8 @@ def test_centralized_companion_with_every_agent_rejected(tmp_path):
     assert trace.state_shape == (1, 3) and trace.n_agents == 6
     # the same state written once per agent, as a 6-row companion would hold it
     lines[1:] = [
-        f"{rec.k},{agent},{coord},{format(rec.snapshot[0, coord], '.17g')}"
-        for rec in trace.records
-        if rec.snapshot is not None
+        f"{k},{agent},{coord},{format(state[0, coord], '.17g')}"
+        for k, state in zip(trace.snapshot_rounds.tolist(), trace.snapshots)
         for agent in range(6)
         for coord in range(3)
     ]

@@ -7,6 +7,7 @@ means every trace, snapshot companion, exported config and printed line is
 unchanged. The set:
   - `run` of every preset at seeds 0 and 3, with and without --snapshot-cadence 50;
   - `export` of every preset, to stdout and to a file;
+  - `oracle` and `validate` of every preset;
   - export -> run with record_every 1 and snapshot_every 50 -> `compare
     --max-dist 5e-2`, without and with the exported reference;
   - a config whose lone agent doubles its state every round, run to divergence
@@ -87,7 +88,8 @@ def cases():
                 f"run-{preset}-seed{seed}-cadence{CADENCE}",
                 lambda case, argv=argv: call(case, "run", *argv, "--snapshot-cadence", CADENCE),
             )
-        yield f"export-{preset}", lambda case, preset=preset: call(case, "export", "export", preset)
+        for command in ("export", "oracle", "validate"):
+            yield f"{command}-{preset}", lambda case, preset=preset, command=command: call(case, command, command, preset)
         yield f"roundtrip-{preset}", lambda case, preset=preset: round_trip(case, preset)
 
     def divergent(case: Path) -> None:
