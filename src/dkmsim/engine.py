@@ -43,8 +43,12 @@ DIVERGENCE_LIMIT = 1e12
 # block uniforms run() draws at a time in block-sampled mode
 BLOCK_DRAWS = 256
 
-# floats of recorded state run() buffers before one pass takes all their residuals;
-# never fewer than two states, as a pass is mostly fixed dispatch cost
+# floats of state one run() window holds: the divergence guard and the record passes run once per
+# window of G = max(2, WINDOW_FLOATS // (rows * n)) rounds
+WINDOW_FLOATS = 16384
+
+# floats of recorded state one residual pass takes; never fewer than two states, as a pass is
+# mostly fixed dispatch cost
 RECORD_FLOATS = 1024
 
 MODES = ("dkm", "dbkm", "centralized")
@@ -158,7 +162,11 @@ class RunConfig:
     init is either a UniformInit or an explicit (N, n) array. reference, when
     given, fills the trace's dist_to_ref column. record_every = None selects
     the default cadence: every round below 1000, then every ceil(k/1000)-th
-    round, and always the final round.
+    round, and always the final round; record_count gives a finished run's
+    rows. A run stops with DivergenceError at the first round that takes an
+    entry non-finite or past divergence_limit in absolute value; run() checks
+    that once per window of rounds, and names the same round a per-round check
+    would.
     """
 
     family: OperatorFamily
@@ -283,6 +291,23 @@ def initial_states(config: RunConfig, rng: np.random.Generator | None = None) ->
     return config.init.copy()
 
 
+def record_count(max_rounds: int, record_every: int | None) -> int:
+    """Rows of a finished run's table: its cadence's rounds below max_rounds, plus the final row.
+
+    record_every = r keeps the ceil(max_rounds / r) multiples of r. The default
+    cadence keeps rounds 0..1000, then, for each c >= 2, the multiples of c
+    among rounds 1000(c-1)+1..1000c: one term per thousand rounds, not a pass
+    over the rounds.
+    """
+    if record_every is not None:
+        return -(-max_rounds // record_every) + 1
+    last = max_rounds - 1
+    count = min(max_rounds, 1001) + 1
+    for c in range(2, -(-last // 1000) + 1):
+        count += min(1000 * c, last) // c - 1000 * (c - 1) // c
+    return count
+
+
 def run(config: RunConfig, validate: bool = True) -> Trace:
     """Execute one simulation and return its trace.
 
@@ -293,12 +318,15 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     Inputs are checked once, before round 0: RunConfig has checked the
     shapes, and every alpha_k must lie in (0, 1]. Rounds then do the
     arithmetic of dkm_step / dbkm_step without their per-call checks, with
-    block uniforms drawn BLOCK_DRAWS at a time; only recorded rounds do more.
-    The divergence guard runs every round. A record reuses the round's
-    alpha_k, and its state waits in a buffer of K = max(2, RECORD_FLOATS //
-    (rows * n)) states; one unchecked record_residuals pass makes all K rows
-    of the table once the buffer is full, before a DivergenceError is raised
-    and after the final record. The rows are bit for bit those taken singly.
+    block uniforms drawn BLOCK_DRAWS at a time, in windows of G = max(2,
+    WINDOW_FLOATS // (rows * n)) rounds: each round copies its state into the
+    window, and the divergence guard checks a whole window at once. It names
+    the first round, agent and coordinate past the limit, as a per-round check
+    would. Recorded rounds only note their (k, alpha_k, block); once the window
+    passes, unchecked record_residuals passes of at most K = max(2,
+    RECORD_FLOATS // (rows * n)) states take their rows from the window. The
+    rows are bit for bit those taken singly, and the table is allocated once,
+    at record_count rows.
     """
     if validate:
         for report in validate_run(config):
@@ -309,43 +337,46 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     _check_alpha(config.stepsize.alpha(config.max_rounds - 1))
 
     family = config.family
+    max_rounds = config.max_rounds
     rng = np.random.default_rng(config.seed)
     states = initial_states(config, rng)
 
     # every state that reaches a record is finite: RunConfig checked the init and reference, the
-    # divergence guard each round's result. Recorded states wait in buffer, their (k, alpha_k, block)
-    # in pending, until a pass writes them into table, which doubles when full (cheaper than a join).
+    # divergence guard each window. win[0] holds the state a window starts from, win[j] the state
+    # after its j-th round; pending holds the (k, alpha_k, block) of the window's records.
     rows = states.shape[0]
-    buffer = np.empty((max(2, RECORD_FLOATS // (rows * family.n)), rows, family.n))
-    table, count = np.empty(len(buffer), RECORD), 0
+    G = max(2, WINDOW_FLOATS // (rows * family.n))
+    K = max(2, RECORD_FLOATS // (rows * family.n))
+    win = np.empty((G + 1, rows, family.n))
+    table, count = np.empty(record_count(max_rounds, config.record_every), RECORD), 0
     pending, snapshot_rounds, snapshots = [], [], []
+    snapshot_every = config.snapshot_every
 
-    def queue(k: int, alpha: float, block: int) -> None:
-        if config.snapshot_every is not None and (k % config.snapshot_every == 0 or k == config.max_rounds):
-            snapshot_rounds.append(k)
-            snapshots.append(states.copy())
-        buffer[len(pending)] = states
-        pending.append((k, alpha, block))
-        if len(pending) == len(buffer):
-            flush()
-
-    def flush() -> None:
-        nonlocal table, count
-        if count + len(pending) > len(table):
-            table = np.concatenate([table, np.empty_like(table)])
-        out = table[count : count + len(pending)]
-        out["k"], out["alpha_k"], out["selected_block"] = zip(*pending)
-        residuals = record_residuals(family, buffer[: len(pending)], config.reference)
-        out["consensus_residual"], out["fp_residual"], out["dist_to_ref"], out["max_state_norm"] = residuals
-        count += len(pending)
+    def take_records(k0: int) -> None:
+        """Write the pending records, the state of round k being win[k - k0], into the next rows of table."""
+        nonlocal count
+        if not pending:
+            return
+        ks, alphas, blocks = zip(*pending)
+        out = table[count : count + len(ks)]
+        out["k"], out["alpha_k"], out["selected_block"] = ks, alphas, blocks
+        slots = out["k"] - k0
+        for start in range(0, len(ks), K):
+            residuals = record_residuals(family, win[slots[start : start + K]], config.reference)
+            part = out[start : start + K]
+            part["consensus_residual"], part["fp_residual"], part["dist_to_ref"], part["max_state_norm"] = residuals
+        if snapshot_every is not None:
+            for k in ks:
+                if k % snapshot_every == 0 or k == max_rounds:
+                    snapshot_rounds.append(k)
+                    snapshots.append(win[k - k0].copy())
+        count += len(ks)
         pending.clear()
 
     def finish(aborted_at: int | None = None, final_states: NDArray[Float] | None = None) -> Trace:
-        if pending:
-            flush()
         return Trace(
             mode=config.mode, n_agents=family.n_agents, n=family.n, block_dims=family.partition.dims,
-            seed=config.seed, max_rounds=config.max_rounds, stepsize=config.stepsize,
+            seed=config.seed, max_rounds=max_rounds, stepsize=config.stepsize,
             table=table[:count],
             snapshot_rounds=np.array(snapshot_rounds, dtype=np.int64),
             snapshots=np.array(snapshots).reshape(len(snapshots), rows, family.n),
@@ -364,30 +395,48 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         cumulative = config.selector._cumulative
         slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
     block = -1
-    for k in range(config.max_rounds):
-        if mode == "dbkm":
-            if k % BLOCK_DRAWS == 0:
-                # the same stream as one draw_block per round, a tenth of the cost
-                blocks = np.searchsorted(cumulative, rng.random(BLOCK_DRAWS), side="right").tolist()
-            block = blocks[k % BLOCK_DRAWS]
-        alpha = alpha_at(k)
-        # the default cadence keeps every round below 1000, then every ceil(k/1000)-th
-        if (k < 1000 or k % -(-k // 1000) == 0) if record_every is None else k % record_every == 0:
-            queue(k, alpha, block)
-        if mode == "dkm":
-            new = mats[k % period] @ states
-            new += alpha * family.displacement_all(new)
-        elif mode == "dbkm":
-            new = mats[k % period] @ states
-            new[:, slices[block]] += alpha * family.displacement_block_all(block, new)
-        else:
-            tile[:] = states
-            new = states + alpha * family.mean_displacement(tile)
-        if not np.abs(new).max() <= limit:
-            # the first entry, row-major, that is non-finite or past the limit
-            agent, coord = divmod(int(np.argmax(~(np.abs(new) <= limit))), new.shape[1])
-            raise DivergenceError(k, finish(aborted_at=k + 1), agent=agent, coordinate=coord, last_states=states)
-        states = new
+    win[0] = states
+    for k0 in range(0, max_rounds, G):
+        k1 = min(k0 + G, max_rounds)
+        # rounds after a diverging one still run to the window's end; their arithmetic may overflow
+        with np.errstate(all="ignore"):
+            for j, k in enumerate(range(k0, k1), 1):
+                if mode == "dbkm":
+                    if k % BLOCK_DRAWS == 0:
+                        # the same stream as one draw_block per round, a tenth of the cost
+                        blocks = np.searchsorted(cumulative, rng.random(BLOCK_DRAWS), side="right").tolist()
+                    block = blocks[k % BLOCK_DRAWS]
+                alpha = alpha_at(k)
+                # the default cadence keeps every round below 1000, then every ceil(k/1000)-th
+                if (k < 1000 or k % -(-k // 1000) == 0) if record_every is None else k % record_every == 0:
+                    pending.append((k, alpha, block))
+                if mode == "dkm":
+                    new = mats[k % period] @ states
+                    new += alpha * family.displacement_all(new)
+                elif mode == "dbkm":
+                    new = mats[k % period] @ states
+                    sub = new[:, slices[block]]
+                    sub += alpha * family.displacement_block_all(block, new)
+                else:
+                    tile[:] = states
+                    new = states + alpha * family.mean_displacement(tile)
+                win[j] = states = new
+        done = win[1 : k1 - k0 + 1]
+        # NaN fails both comparisons
+        if not (done.max() <= limit and -limit <= done.min()):
+            # the first entry, round-major then row-major, that is non-finite or past the limit
+            slot, agent, coord = np.unravel_index(int(np.argmax(~(np.abs(done) <= limit))), done.shape)
+            fatal = k0 + int(slot)
+            while pending and pending[-1][0] > fatal:
+                pending.pop()
+            take_records(k0)
+            raise DivergenceError(
+                fatal, finish(aborted_at=fatal + 1), agent=int(agent), coordinate=int(coord),
+                last_states=win[slot].copy(),
+            )
+        if k1 == max_rounds:
+            pending.append((max_rounds, alpha_at(max_rounds), -1))
+        take_records(k0)
+        win[0] = states
 
-    queue(config.max_rounds, alpha_at(config.max_rounds), -1)
     return finish(final_states=states)

@@ -181,9 +181,10 @@ def read_trace(path) -> Trace:
     """Parse a trace file and, when there is one, its snapshot companion.
 
     Refuses malformed metadata and rows, rows no run could write (see
-    _parse_rows), and a companion that read_snapshots refuses or that holds a
-    round the trace did not record. The table's max_state_norm column is NaN:
-    the CSV does not store it.
+    _parse_rows), an abort marker no run writes (outside 1..max_rounds, or
+    not past the last row's round), and a companion that read_snapshots
+    refuses or that holds a round the trace did not record. The table's
+    max_state_norm column is NaN: the CSV does not store it.
     """
     try:
         text = Path(path).read_text()
@@ -201,7 +202,7 @@ def read_trace(path) -> Trace:
             body = line.lstrip("#").strip()
             if body.startswith("aborted at k="):
                 try:
-                    aborted_at = int(body.split("=", 1)[1])
+                    aborted_at, abort_line = int(body.split("=", 1)[1]), line_no
                 except ValueError as e:
                     raise ConfigError(f"{path}:{line_no}: abort marker {line!r} has no round number") from e
             elif "=" in body:
@@ -218,6 +219,17 @@ def read_trace(path) -> Trace:
         raise ConfigError(f"{path}: no header row found")
     fields = _parse_meta(meta, path)
     table = _parse_rows(data, path, fields["max_rounds"], len(fields["block_dims"]))
+    if aborted_at is not None:
+        # a run aborted at k = A diverged in round A - 1 and recorded rounds below A only
+        if not 1 <= aborted_at <= fields["max_rounds"]:
+            raise ConfigError(
+                f"{path}:{abort_line}: abort marker k={aborted_at} lies outside 1..{fields['max_rounds']},"
+                " the rounds a run aborts at"
+            )
+        if len(table) and aborted_at <= table["k"][-1]:
+            raise ConfigError(
+                f"{path}:{abort_line}: abort marker k={aborted_at} is not past the last recorded round {table['k'][-1]}"
+            )
     trace = Trace(**fields, table=table, aborted_at=aborted_at)
     snapshot_path = snapshot_path_for(path)
     if snapshot_path.exists():

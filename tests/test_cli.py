@@ -514,6 +514,11 @@ def _set_last_row(column, value):
     return edit
 
 
+def _append_abort_marker(k):
+    """An edit that appends `# aborted at k=<k>` to the finished 100-round trace, as its line 113."""
+    return lambda files: files.update(trace=files["trace"] + f"# aborted at k={k}\n")
+
+
 REF = ("--reference", "[1.0, 2.0, 3.0]")
 
 
@@ -549,6 +554,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_last_row(0, "500"), "{trace}:112: round 500 lies outside 0..100"),
         ((), _set_last_row(5, "1"), "{trace}:112: column selected_block: block 1 is not one of 0..0"),
         ((), _set_last_row(5, "-1"), "{trace}:112: column selected_block: block -1 is not one of 0..0"),
+        ((), _append_abort_marker(-7), "{trace}:113: abort marker k=-7 lies outside 1..100"),
+        ((), _append_abort_marker(99999), "{trace}:113: abort marker k=99999 lies outside 1..100"),
+        ((), _append_abort_marker(50), "{trace}:113: abort marker k=50 is not past the last recorded round 100"),
     ],
     ids=[
         "reference-length",
@@ -572,6 +580,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "round-past-max-rounds",
         "block-past-the-partition",
         "negative-block",
+        "abort-marker-below-one",
+        "abort-marker-past-max-rounds",
+        "abort-marker-not-past-the-last-row",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):

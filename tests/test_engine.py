@@ -42,7 +42,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import BLOCK_DRAWS, RECORD_FLOATS
+from dkmsim.engine import BLOCK_DRAWS, RECORD_FLOATS, WINDOW_FLOATS, record_count
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -680,6 +680,13 @@ def test_run_divergence_aborts_with_partial_trace():
 # run() against the checked steps, round by round
 
 
+def keeps_record(k, record_every):
+    """Whether round k is on run()'s cadence: record_every, or the default thinning after round 1000."""
+    if record_every is None:
+        return k < 1000 or k % -(-k // 1000) == 0
+    return k % record_every == 0
+
+
 def reference_run(config):
     """run() spelled out with dkm_step / dbkm_step and one draw_block per round.
 
@@ -694,11 +701,7 @@ def reference_run(config):
     records = []
     for k in range(config.max_rounds):
         block = draw_block(config.selector, rng) if config.mode == "dbkm" else None
-        if config.record_every is None:
-            keep = k < 1000 or k % -(-k // 1000) == 0
-        else:
-            keep = k % config.record_every == 0
-        if keep:
+        if keeps_record(k, config.record_every):
             records.append((k, block, states))
         alpha = config.stepsize.alpha(k)
         if config.mode == "dkm":
@@ -718,6 +721,12 @@ def records_per_pass(mode, family):
     """K, the recorded states run() takes in one residual pass: RECORD_FLOATS floats, at least two states."""
     rows = 1 if mode == "centralized" else family.n_agents
     return max(2, RECORD_FLOATS // (rows * family.n))
+
+
+def rounds_per_window(mode, family):
+    """G, the rounds one run() window holds: WINDOW_FLOATS floats of state, at least two states."""
+    rows = 1 if mode == "centralized" else family.n_agents
+    return max(2, WINDOW_FLOATS // (rows * family.n))
 
 
 def assert_records_match(trace, expected):
@@ -956,3 +965,96 @@ def test_run_checks_every_stepsize_before_round_zero():
     with pytest.raises(DivergenceError) as exc:
         run(replace(config, max_rounds=229), validate=False)
     assert exc.value.last_round < 10
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@pytest.mark.parametrize(
+    "fatal",
+    [lambda G: 0, lambda G: G, lambda G: 2 * G - 1, lambda G: 2 * G + G // 4],
+    ids=["first-slot-of-the-run", "first-slot", "last-slot", "final-partial-window"],
+)
+def test_divergence_at_a_window_edge_matches_checked_steps(mode, fatal):
+    family = growing_family()
+    G = rounds_per_window(mode, family)
+    fatal = fatal(G)
+    # rows of weight 1.01 grow every entry each round, so the largest entry grows every round in
+    # every mode; the last window holds G // 2 rounds
+    config = RunConfig(
+        family=family,
+        stepsize=PowerLawStepsize(0.05, 0.0, 1),
+        schedule=GraphSchedule([1.01 * np.eye(4)], Q=1, weight_floor=0.5),
+        max_rounds=2 * G + G // 2,
+        init=np.full((4, 4), 10.0),
+        record_every=1,
+        snapshot_every=1,
+        divergence_limit=1e300,
+        **KERNEL_MODES[mode],
+    )
+    expected, _, aborted = reference_run(config)
+    assert aborted is None
+    peaks = [np.abs(states).max() for _, _, states in expected]
+    assert all(a < b for a, b in zip(peaks, peaks[1:]))
+    limit = (peaks[fatal] + peaks[fatal + 1]) / 2
+    config = replace(config, divergence_limit=limit)
+    expected, blown, aborted = reference_run(config)
+    assert aborted == fatal
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    err = exc.value
+    assert err.last_round == fatal
+    assert err.trace.aborted_at == fatal + 1
+    assert err.trace.final_states is None
+    assert len(err.trace.table) == fatal + 1
+    assert_records_match(err.trace, expected)
+    assert_records_equal_the_public_diagnostics(err.trace, family, None)
+    # the state the fatal round started from, and the first entry, row-major, it took past the limit
+    assert expected[-1][0] == fatal
+    assert np.array_equal(err.last_states, expected[-1][2])
+    assert (err.agent, err.coordinate) == divmod(int(np.argmax(~(np.abs(blown) <= limit))), family.n)
+
+
+@pytest.mark.parametrize("record_every", [None, 1, 7])
+def test_record_count_equals_the_cadence(record_every):
+    # the default cadence thins at every multiple of 1000; sweep around the first two steps
+    sweep = [1, 2, 3, 6, 7, 8, *range(995, 1006), *range(1995, 2006), 2999, 3000, 3001, 3002, 10001, 12345]
+    kept, counts = 0, {}
+    for k in range(max(sweep)):
+        kept += keeps_record(k, record_every)
+        counts[k + 1] = kept + 1  # rounds 0..k, then the final row
+    for max_rounds in sweep:
+        assert record_count(max_rounds, record_every) == counts[max_rounds], max_rounds
+
+
+@pytest.mark.parametrize("record_every", [None, 1, 7])
+@pytest.mark.parametrize("max_rounds", [1, 999, 1000, 1001, 1002, 2003])
+def test_finished_run_fills_its_table(record_every, max_rounds):
+    config = RunConfig(
+        family=mixed_family(),
+        stepsize=STEP,
+        schedule=ring_schedule(4, 2, 0.5),
+        max_rounds=max_rounds,
+        record_every=record_every,
+    )
+    trace = run(config)
+    assert len(trace.table) == record_count(max_rounds, record_every)
+    assert trace.table["k"].tolist() == [k for k in range(max_rounds) if keeps_record(k, record_every)] + [max_rounds]
+
+
+def test_rounds_past_the_limit_that_overflow_raise_no_warning():
+    # the whole run is one window; after the fatal round the doubling state reaches inf near round
+    # 1024, and the identity displacement inf - inf is NaN. This suite turns warnings into errors.
+    family = OperatorFamily([Identity(BlockPartition.single(1))])
+    config = RunConfig(
+        family=family,
+        stepsize=STEP,
+        schedule=GraphSchedule([np.array([[2.0]])], Q=1, weight_floor=0.4),
+        max_rounds=3000,
+        init=np.array([[1.0]]),
+    )
+    assert rounds_per_window("dkm", family) >= config.max_rounds
+    _, _, aborted = reference_run(config)
+    assert aborted == 39  # 2**40 is the first power of two past 1e12
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    assert (exc.value.last_round, exc.value.agent, exc.value.coordinate) == (aborted, 0, 0)
+    assert exc.value.last_states.tolist() == [[2.0**39]]

@@ -174,6 +174,41 @@ def test_round_outside_the_run_rejected(dkm_trace, tmp_path, row, k):
         read_trace(path)
 
 
+def _append_line(lines, text):
+    """Append one line; returns its 1-based line number."""
+    lines.append(text)
+    return len(lines)
+
+
+@pytest.mark.parametrize("k", ["-7", "0", "201", "99999"])
+def test_abort_marker_outside_the_run_rejected(dkm_trace, tmp_path, k):
+    # a run of 200 rounds that diverges in round A - 1 writes k=A, with A in 1..200
+    edited = []
+    path = write_then_edit(dkm_trace, tmp_path, lambda L: edited.append(_append_line(L, f"# aborted at k={k}")))
+    message = rf"tampered\.csv:{edited[0]}: abort marker k={k} lies outside 1\.\.200, the rounds a run aborts at"
+    with pytest.raises(ConfigError, match=message):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("k", ["1", "50", "200"])
+def test_abort_marker_not_past_the_last_row_rejected(dkm_trace, tmp_path, k):
+    # dkm_trace's last row is round 200; a run aborted at k=A records rounds below A only
+    edited = []
+    path = write_then_edit(dkm_trace, tmp_path, lambda L: edited.append(_append_line(L, f"# aborted at k={k}")))
+    message = rf"tampered\.csv:{edited[0]}: abort marker k={k} is not past the last recorded round 200"
+    with pytest.raises(ConfigError, match=message):
+        read_trace(path)
+
+
+def test_abort_marker_past_a_thinned_last_row_accepted(tmp_path):
+    # with record_every 10 the rows stop at the last multiple of 10 below the fatal round
+    trace = _diverged_trace(record_every=10)
+    assert trace.table["k"][-1] < trace.aborted_at - 1
+    path = tmp_path / "aborted.csv"
+    write_trace(trace, path)
+    assert read_trace(path).aborted_at == trace.aborted_at
+
+
 @pytest.mark.parametrize("block", ["-1", "3", "7"])
 def test_block_outside_the_partition_rejected(dbkm_trace, tmp_path, block):
     # dbkm_trace draws from three blocks; -1 would read back as "no block"

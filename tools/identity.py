@@ -10,8 +10,10 @@ unchanged. The set:
   - `oracle` and `validate` of every preset;
   - export -> run with record_every 1 and snapshot_every 50 -> `compare
     --max-dist 5e-2`, without and with the exported reference;
-  - a config whose lone agent doubles its state every round, run to divergence
-    and compared.
+  - a config whose lone agent doubles its state every round, and two of 4 agents
+    x 4 coordinates on a graph of weight 1.01 (dkm and dbkm) that pass two
+    divergence-guard windows before they diverge; each run to divergence and
+    compared.
 Each case runs in its own directory under OUT with relative paths, so no
 output names the tree. OUT must not exist. dkmsim is imported from the src/
 beside this script; the rest is the standard library.
@@ -43,6 +45,29 @@ DOUBLING = {
     "stepsize": {"gamma": 0.7},
     "run": {"mode": "dkm", "max_rounds": 500, "seed": 0},
     "output": {"trace": "trace.csv"},
+}
+# rows of weight 1.01: states grow by about 1 % a round, past the limit after ~2,700 rounds
+GROWING = {
+    "matrices": [[[0.505 if j in (i, (i + 1) % 4) else 0.0 for j in range(4)] for i in range(4)]],
+    "window": 1,
+    "weight_floor": 0.4,
+}
+DIVERGENT = {
+    "doubling": DOUBLING,
+    "window-dkm": {
+        "problem": {"kind": "consensus", "agents": 4, "dimension": 4},
+        "graph": GROWING,
+        "stepsize": {"gamma": 0.7},
+        "run": {"mode": "dkm", "max_rounds": 5000, "seed": 0},
+        "output": {"trace": "trace.csv"},
+    },
+    "window-dbkm": {
+        "problem": {"kind": "distance", "sets": [{"kind": "box", "lower": [-1.0] * 4, "upper": [1.0] * 4}] * 4},
+        "graph": GROWING,
+        "stepsize": {"gamma": 0.7},
+        "run": {"mode": "dbkm", "max_rounds": 8000, "seed": 0, "blocks": [1, 1, 1, 1]},
+        "output": {"trace": "trace.csv"},
+    },
 }
 
 
@@ -92,12 +117,13 @@ def cases():
             yield f"{command}-{preset}", lambda case, preset=preset, command=command: call(case, command, command, preset)
         yield f"roundtrip-{preset}", lambda case, preset=preset: round_trip(case, preset)
 
-    def divergent(case: Path) -> None:
-        (case / "doubling.yaml").write_text(json.dumps(DOUBLING, indent=2) + "\n")
-        call(case, "run", "run", "doubling.yaml", "--skip-validate")
+    def divergent(case: Path, name: str) -> None:
+        (case / f"{name}.yaml").write_text(json.dumps(DIVERGENT[name], indent=2) + "\n")
+        call(case, "run", "run", f"{name}.yaml", "--skip-validate")
         call(case, "compare", "compare", "trace.csv")
 
-    yield "divergent-doubling", divergent
+    for name in DIVERGENT:
+        yield f"divergent-{name}", lambda case, name=name: divergent(case, name)
 
 
 def write_set(out: Path) -> None:
