@@ -278,7 +278,8 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     if selector is not None and mode != "dbkm":
         raise ConfigError("probabilities only apply to mode dbkm", "run.probabilities")
     reference = run_kwargs.pop("reference", None)
-    run_kwargs["name"] = name
+    # the RunConfig fields left are applied after the build, each refusal under its own key
+    run_fields, run_kwargs = run_kwargs, {"name": name}
 
     problem = doc["problem"]
     _check_keys(problem, {"kind"}.union(*(req + opt for req, opt in PROBLEM_KEYS.values())), {"kind"}, "problem")
@@ -330,6 +331,9 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
                 **run_kwargs,
             )
 
+    for key, value in run_fields.items():
+        with _at(f"run.{key}"):
+            scenario = scenario.with_run(**{key: value})
     if reference is not None:
         # a plain Scenario: the file's reference stays put under later run overrides
         with _at("run.reference"):

@@ -40,9 +40,6 @@ from .validation import ValidationReport, Violation, failed, passed
 
 DIVERGENCE_LIMIT = 1e12
 
-# block uniforms run() draws at a time in block-sampled mode
-BLOCK_DRAWS = 256
-
 # floats of state one run() window holds: the divergence guard and the record passes run once per
 # window of G = max(2, WINDOW_FLOATS // (rows * n)) rounds
 WINDOW_FLOATS = 16384
@@ -160,10 +157,11 @@ class RunConfig:
     Change a run with dataclasses.replace, which validates the new values;
     explicit init and reference arrays are held as read-only copies.
     init is either a UniformInit or an explicit (N, n) array. reference, when
-    given, fills the trace's dist_to_ref column. record_every = None selects
-    the default cadence: every round below 1000, then every ceil(k/1000)-th
-    round, and always the final round; record_count gives a finished run's
-    rows. A run stops with DivergenceError at the first round that takes an
+    given, fills the trace's dist_to_ref column. record_every and max_rounds
+    fix the rounds a run records before it starts (record_rounds): every
+    record_every-th round, or by default every round through 1000 and then
+    every c-th one among rounds 1000(c-1)+1..1000c, and always the final
+    round. A run stops with DivergenceError at the first round that takes an
     entry non-finite or past divergence_limit in absolute value; run() checks
     that once per window of rounds, and names the same round a per-round check
     would.
@@ -291,21 +289,20 @@ def initial_states(config: RunConfig, rng: np.random.Generator | None = None) ->
     return config.init.copy()
 
 
-def record_count(max_rounds: int, record_every: int | None) -> int:
-    """Rows of a finished run's table: its cadence's rounds below max_rounds, plus the final row.
+def record_rounds(max_rounds: int, record_every: int | None) -> list[range]:
+    """The rounds a run records, in increasing order, as pieces; the one statement of the cadence.
 
-    record_every = r keeps the ceil(max_rounds / r) multiples of r. The default
-    cadence keeps rounds 0..1000, then, for each c >= 2, the multiples of c
-    among rounds 1000(c-1)+1..1000c: one term per thousand rounds, not a pass
-    over the rounds.
+    record_every = r records the multiples of r below max_rounds. The default
+    records rounds 0..1000, then, for each c >= 2, the multiples of c among
+    rounds 1000(c-1)+1..1000c: one piece per thousand rounds. Either way the
+    last piece is the final round, max_rounds.
     """
+    final = range(max_rounds, max_rounds + 1)
     if record_every is not None:
-        return -(-max_rounds // record_every) + 1
-    last = max_rounds - 1
-    count = min(max_rounds, 1001) + 1
-    for c in range(2, -(-last // 1000) + 1):
-        count += min(1000 * c, last) // c - 1000 * (c - 1) // c
-    return count
+        return [range(0, max_rounds, record_every), final]
+    thousands = range(2, -(-(max_rounds - 1) // 1000) + 1)
+    thinned = [range((1000 * (c - 1) // c + 1) * c, min(1000 * c, max_rounds - 1) + 1, c) for c in thousands]
+    return [range(min(max_rounds, 1001)), *thinned, final]
 
 
 def run(config: RunConfig, validate: bool = True) -> Trace:
@@ -316,17 +313,16 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     seed give an identical trace, including the drawn block sequence.
 
     Inputs are checked once, before round 0: RunConfig has checked the
-    shapes, and every alpha_k must lie in (0, 1]. Rounds then do the
-    arithmetic of dkm_step / dbkm_step without their per-call checks, with
-    block uniforms drawn BLOCK_DRAWS at a time, in windows of G = max(2,
-    WINDOW_FLOATS // (rows * n)) rounds: each round copies its state into the
-    window, and the divergence guard checks a whole window at once. It names
-    the first round, agent and coordinate past the limit, as a per-round check
-    would. Recorded rounds only note their (k, alpha_k, block); once the window
-    passes, unchecked record_residuals passes of at most K = max(2,
-    RECORD_FLOATS // (rows * n)) states take their rows from the window. The
-    rows are bit for bit those taken singly, and the table is allocated once,
-    at record_count rows.
+    shapes, and every alpha_k must lie in (0, 1]. The table is allocated once,
+    its k column from record_rounds. Rounds run in windows of G = max(2,
+    WINDOW_FLOATS // (rows * n)); a window's alpha_k and block uniforms (the
+    stream of one draw_block per round) are taken before its rounds, which do
+    the arithmetic of dkm_step / dbkm_step without their checks. The guard
+    checks a whole window and names the first round, agent and coordinate past
+    the limit, as a per-round check would. The window's rows, up to that round,
+    take their states from the window in unchecked record_residuals passes of
+    at most K = max(2, RECORD_FLOATS // (rows * n)), bit for bit those taken
+    singly.
     """
     if validate:
         for report in validate_run(config):
@@ -343,77 +339,61 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
 
     # every state that reaches a record is finite: RunConfig checked the init and reference, the
     # divergence guard each window. win[0] holds the state a window starts from, win[j] the state
-    # after its j-th round; pending holds the (k, alpha_k, block) of the window's records.
+    # after its j-th round; rows table[:count] are complete.
     rows = states.shape[0]
     G = max(2, WINDOW_FLOATS // (rows * family.n))
     K = max(2, RECORD_FLOATS // (rows * family.n))
     win = np.empty((G + 1, rows, family.n))
-    table, count = np.empty(record_count(max_rounds, config.record_every), RECORD), 0
-    pending, snapshot_rounds, snapshots = [], [], []
+    plan = record_rounds(max_rounds, config.record_every)
+    table, count = np.empty(sum(map(len, plan)), RECORD), 0
+    ks, filled = table["k"], 0
+    for r in plan:
+        ks[filled : filled + len(r)] = np.arange(r.start, r.stop, r.step)
+        filled += len(r)
+    del plan
     snapshot_every = config.snapshot_every
-
-    def take_records(k0: int) -> None:
-        """Write the pending records, the state of round k being win[k - k0], into the next rows of table."""
-        nonlocal count
-        if not pending:
-            return
-        ks, alphas, blocks = zip(*pending)
-        out = table[count : count + len(ks)]
-        out["k"], out["alpha_k"], out["selected_block"] = ks, alphas, blocks
-        slots = out["k"] - k0
-        for start in range(0, len(ks), K):
-            residuals = record_residuals(family, win[slots[start : start + K]], config.reference)
-            part = out[start : start + K]
-            part["consensus_residual"], part["fp_residual"], part["dist_to_ref"], part["max_state_norm"] = residuals
-        if snapshot_every is not None:
-            for k in ks:
-                if k % snapshot_every == 0 or k == max_rounds:
-                    snapshot_rounds.append(k)
-                    snapshots.append(win[k - k0].copy())
-        count += len(ks)
-        pending.clear()
+    snapshot_rounds, snapshots = [np.empty(0, np.int64)], [np.empty((0, rows, family.n))]
 
     def finish(aborted_at: int | None = None, final_states: NDArray[Float] | None = None) -> Trace:
         return Trace(
             mode=config.mode, n_agents=family.n_agents, n=family.n, block_dims=family.partition.dims,
             seed=config.seed, max_rounds=max_rounds, stepsize=config.stepsize,
             table=table[:count],
-            snapshot_rounds=np.array(snapshot_rounds, dtype=np.int64),
-            snapshots=np.array(snapshots).reshape(len(snapshots), rows, family.n),
+            snapshot_rounds=np.concatenate(snapshot_rounds),
+            snapshots=np.concatenate(snapshots),
             aborted_at=aborted_at, final_states=final_states,
         )
 
     mode = config.mode
     alpha_at = config.stepsize.alpha
-    record_every = config.record_every
     limit = config.divergence_limit
     if mode != "centralized":
         mats, period = config.schedule.matrices, config.schedule.period
     else:
         tile = np.empty((family.n_agents, family.n))
+    # blocks[j] is the block of the window's round k0 + j, -1 outside block-sampled mode and after the final round
+    blocks = np.full(G + 1, -1)
     if mode == "dbkm":
         cumulative = config.selector._cumulative
         slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
-    block = -1
     win[0] = states
     for k0 in range(0, max_rounds, G):
         k1 = min(k0 + G, max_rounds)
+        last = k1 == max_rounds
+        alphas = [alpha_at(k) for k in range(k0, k1 + last)]
+        if mode == "dbkm":
+            blocks[: k1 - k0] = np.searchsorted(cumulative, rng.random(k1 - k0), side="right")
+            blocks[k1 - k0] = -1
+            drawn = blocks.tolist()
         # rounds after a diverging one still run to the window's end; their arithmetic may overflow
         with np.errstate(all="ignore"):
             for j, k in enumerate(range(k0, k1), 1):
-                if mode == "dbkm":
-                    if k % BLOCK_DRAWS == 0:
-                        # the same stream as one draw_block per round, a tenth of the cost
-                        blocks = np.searchsorted(cumulative, rng.random(BLOCK_DRAWS), side="right").tolist()
-                    block = blocks[k % BLOCK_DRAWS]
-                alpha = alpha_at(k)
-                # the default cadence keeps every round below 1000, then every ceil(k/1000)-th
-                if (k < 1000 or k % -(-k // 1000) == 0) if record_every is None else k % record_every == 0:
-                    pending.append((k, alpha, block))
+                alpha = alphas[j - 1]
                 if mode == "dkm":
                     new = mats[k % period] @ states
                     new += alpha * family.displacement_all(new)
                 elif mode == "dbkm":
+                    block = drawn[j - 1]
                     new = mats[k % period] @ states
                     sub = new[:, slices[block]]
                     sub += alpha * family.displacement_block_all(block, new)
@@ -423,20 +403,32 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
                 win[j] = states = new
         done = win[1 : k1 - k0 + 1]
         # NaN fails both comparisons
+        fatal = None
         if not (done.max() <= limit and -limit <= done.min()):
             # the first entry, round-major then row-major, that is non-finite or past the limit
             slot, agent, coord = np.unravel_index(int(np.argmax(~(np.abs(done) <= limit))), done.shape)
             fatal = k0 + int(slot)
-            while pending and pending[-1][0] > fatal:
-                pending.pop()
-            take_records(k0)
+        stop = k1 + last if fatal is None else fatal + 1
+        # the window's rows: a round has at most one, so they lie among the next stop - k0
+        hi = count + int(np.searchsorted(ks[count : count + stop - k0], stop))
+        out = table[count:hi]
+        slots = out["k"] - k0
+        out["alpha_k"] = np.take(alphas, slots)
+        out["selected_block"] = blocks[slots]
+        for start in range(0, len(slots), K):
+            residuals = record_residuals(family, win[slots[start : start + K]], config.reference)
+            part = out[start : start + K]
+            part["consensus_residual"], part["fp_residual"], part["dist_to_ref"], part["max_state_norm"] = residuals
+        if snapshot_every is not None:
+            keep = (out["k"] % snapshot_every == 0) | (out["k"] == max_rounds)
+            snapshot_rounds.append(out["k"][keep])
+            snapshots.append(win[slots[keep]])
+        count = hi
+        if fatal is not None:
             raise DivergenceError(
                 fatal, finish(aborted_at=fatal + 1), agent=int(agent), coordinate=int(coord),
                 last_states=win[slot].copy(),
             )
-        if k1 == max_rounds:
-            pending.append((max_rounds, alpha_at(max_rounds), -1))
-        take_records(k0)
         win[0] = states
 
     return finish(final_states=states)

@@ -209,6 +209,26 @@ def test_set_dimension_mismatch_is_config_error():
         scenario_from_config(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_rounds", 0, "max_rounds must be >= 1, got 0"),
+        ("seed", -2, "seed must be >= 0, got -2"),
+        ("record_every", 0, "record_every must be >= 1, got 0"),
+        ("snapshot_every", 0, "snapshot_every must be >= 1, got 0"),
+        ("init", {"kind": "explicit", "states": [[0.0] * 3] * 2}, "state matrix has 2 rows, expected 6 agents"),
+    ],
+    ids=["max_rounds", "seed", "record_every", "snapshot_every", "init"],
+)
+def test_run_field_refusal_names_its_run_key(key, value, message):
+    doc = scenario_to_config(build_preset("paper-dkm-6"))
+    doc["run"][key] = value
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_config(doc)
+    assert str(exc.value) == f"run.{key}: {message}"
+    assert exc.value.path == f"run.{key}"
+
+
 # ---------------------------------------------------------------------------
 # explicit reference handling
 

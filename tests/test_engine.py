@@ -42,7 +42,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import BLOCK_DRAWS, RECORD_FLOATS, WINDOW_FLOATS, record_count
+from dkmsim.engine import RECORD_FLOATS, WINDOW_FLOATS, record_rounds
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -751,13 +751,18 @@ KERNEL_MODES = {
     "rounds, record_every",
     [
         (100, 1),
-        (BLOCK_DRAWS, 1),
-        (2 * BLOCK_DRAWS + 37, 7),
-        (5 * BLOCK_DRAWS + 20, None),
-        ((1, -1), 1),
-        ((1, 0), 1),
-        ((1, 1), 1),
-        ((2, 1), 1),
+        (256, 1),
+        (549, 7),
+        (1300, None),
+        # with a record every round, R rounds make R + 1 records: K - 2 rounds make K - 1 records
+        (lambda K, G: K - 2, 1),
+        (lambda K, G: K - 1, 1),
+        (lambda K, G: K, 1),
+        (lambda K, G: 2 * K, 1),
+        (lambda K, G: G - 1, 1),
+        (lambda K, G: G, 1),
+        (lambda K, G: G + 1, 1),
+        (lambda K, G: 2 * G + 1, 1),
     ],
     ids=[
         "below-one-draw",
@@ -768,14 +773,16 @@ KERNEL_MODES = {
         "K-records",
         "K+1-records",
         "2K+1-records",
+        "G-1-rounds",
+        "G-rounds",
+        "G+1-rounds",
+        "2G+1-rounds",
     ],
 )
 def test_run_equals_checked_steps(mode, rounds, record_every):
     family = mixed_family()
-    if isinstance(rounds, tuple):
-        # (a, b): a * K + b records, one per round, the last after the final round
-        passes, extra = rounds
-        rounds = passes * records_per_pass(mode, family) + extra - 1
+    if callable(rounds):
+        rounds = rounds(records_per_pass(mode, family), rounds_per_window(mode, family))
     config = RunConfig(
         family=family,
         stepsize=STEP,
@@ -899,7 +906,10 @@ def test_divergence_after_a_later_draw_matches_checked_steps(mode):
         **KERNEL_MODES[mode],
     )
     expected, blown, aborted = reference_run(config)
-    assert aborted is not None and aborted >= BLOCK_DRAWS
+    assert aborted is not None and aborted >= 256
+    if mode == "dbkm":
+        # the fatal round's block comes from a later window's draw
+        assert aborted >= rounds_per_window(mode, config.family)
     with pytest.raises(DivergenceError) as exc:
         run(config, validate=False)
     err = exc.value
@@ -1017,12 +1027,10 @@ def test_divergence_at_a_window_edge_matches_checked_steps(mode, fatal):
 def test_record_count_equals_the_cadence(record_every):
     # the default cadence thins at every multiple of 1000; sweep around the first two steps
     sweep = [1, 2, 3, 6, 7, 8, *range(995, 1006), *range(1995, 2006), 2999, 3000, 3001, 3002, 10001, 12345]
-    kept, counts = 0, {}
-    for k in range(max(sweep)):
-        kept += keeps_record(k, record_every)
-        counts[k + 1] = kept + 1  # rounds 0..k, then the final row
+    kept = [k for k in range(max(sweep)) if keeps_record(k, record_every)]
     for max_rounds in sweep:
-        assert record_count(max_rounds, record_every) == counts[max_rounds], max_rounds
+        planned = [k for r in record_rounds(max_rounds, record_every) for k in r]
+        assert planned == [k for k in kept if k < max_rounds] + [max_rounds], max_rounds
 
 
 @pytest.mark.parametrize("record_every", [None, 1, 7])
@@ -1036,7 +1044,7 @@ def test_finished_run_fills_its_table(record_every, max_rounds):
         record_every=record_every,
     )
     trace = run(config)
-    assert len(trace.table) == record_count(max_rounds, record_every)
+    assert len(trace.table) == sum(map(len, record_rounds(max_rounds, record_every)))
     assert trace.table["k"].tolist() == [k for k in range(max_rounds) if keeps_record(k, record_every)] + [max_rounds]
 
 

@@ -13,6 +13,9 @@ unchanged. The set:
   - a config whose lone agent doubles its state every round, and two of 4 agents
     x 4 coordinates on a graph of weight 1.01 (dkm and dbkm) that pass two
     divergence-guard windows before they diverge; each run to divergence and
+    compared;
+  - a block-sampled config that records every 3rd round and snapshots every
+    7th, over 5000 rounds (a multiple of neither) and four windows; run and
     compared.
 Each case runs in its own directory under OUT with relative paths, so no
 output names the tree. OUT must not exist. dkmsim is imported from the src/
@@ -70,6 +73,17 @@ DIVERGENT = {
     },
 }
 
+# coprime record and snapshot cadences; 4 agents x 3 coordinates make windows of 1365 rounds
+COPRIME = {
+    "problem": {"kind": "distance", "staircase_agents": 4},
+    "graph": {"ring": {"agents": 4, "period": 1, "weight": 0.5}},
+    "stepsize": {"gamma": 0.7},
+    "run": {
+        "mode": "dbkm", "max_rounds": 5000, "seed": 0, "blocks": [1, 1, 1], "record_every": 3, "snapshot_every": 7,
+    },
+    "output": {"trace": "trace.csv"},
+}
+
 
 def call(case: Path, name: str, *argv: str):
     """Run one dkmsim command inside case/, saving its stdout, stderr and exit code as name.*."""
@@ -124,6 +138,13 @@ def cases():
 
     for name in DIVERGENT:
         yield f"divergent-{name}", lambda case, name=name: divergent(case, name)
+
+    def coprime(case: Path) -> None:
+        (case / "coprime.yaml").write_text(json.dumps(COPRIME, indent=2) + "\n")
+        call(case, "run", "run", "coprime.yaml")
+        call(case, "compare", "compare", "trace.csv")
+
+    yield "cadence-coprime-dbkm", coprime
 
 
 def write_set(out: Path) -> None:
