@@ -115,7 +115,7 @@ def cmd_oracle(args) -> int:
 
 
 def _load_reference_arg(text: str) -> np.ndarray:
-    """--reference accepts inline JSON like "[1.0, 2.0]" or a JSON/YAML file path."""
+    """--reference accepts an inline JSON list like "[1.0, 2.0]" or the path to a JSON file."""
     source = text.strip()
     what = "inline reference"
     if not source.startswith("["):

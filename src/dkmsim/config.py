@@ -10,33 +10,21 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import MISSING, replace
+from inspect import signature
 
 import numpy as np
 import yaml
 
+from . import scenarios
 from .blocks import as_point, as_states
 from .engine import MODES, BlockSelector, UniformInit
 from .errors import ConfigError, DkmsimError
 from .graphs import GraphSchedule, ring_schedule
 from .operators import Affine, Ball, Box, GradientStep, Huber, Identity, Projection, Quadratic
-from .scenarios import (
-    Scenario,
-    build_consensus_scenario,
-    build_dgd_scenario,
-    build_distance_scenario,
-    build_linear_scenario,
-    staircase_boxes,
-)
+from .scenarios import Scenario, staircase_boxes
 from .stepsize import PowerLawStepsize
 
 TOP_KEYS = {"name", "problem", "graph", "stepsize", "run", "output"}
-# each problem kind's keys besides "kind": (required, optional)
-PROBLEM_KEYS = {
-    "distance": ((), ("sets", "staircase_agents")),
-    "dgd": (("tau", "objectives"), ()),
-    "linear": (("matrices", "offsets"), ("theta",)),
-    "consensus": (("agents", "dimension"), ()),
-}
 
 
 def _check_keys(mapping, allowed: set[str], required: set[str], path: str) -> None:
@@ -100,6 +88,11 @@ def _as_matrix(value, path: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _or_none(load):
+    """load, with a null value loaded as None, as if the key were left out."""
+    return lambda value, path: None if value is None else load(value, path)
+
+
 def _floats(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
@@ -150,11 +143,6 @@ def _load_item(item, path: str, noun: str, kinds: tuple[str, ...], also: tuple[s
     return _load_fields(item, cls, keys, path, ("kind",))
 
 
-def _load_items(items, path: str, noun: str, kinds: tuple[str, ...]) -> list:
-    items = _as_list(items, f"{noun}s", path)
-    return [_load_item(item, f"{path}[{i}]", noun, kinds) for i, item in enumerate(items)]
-
-
 def _dump_item(obj) -> dict:
     kind = _KIND_OF[type(obj)]
     return {"kind": kind, **_dump_fields(obj, KINDS[kind][1])}
@@ -162,6 +150,54 @@ def _dump_item(obj) -> dict:
 
 def _dump_fields(obj, keys: dict) -> dict:
     return {key: dump(getattr(obj, key)) for key, (_, dump) in keys.items()}
+
+
+def _items(noun: str, *kinds: str) -> tuple:
+    """(load, dump) of one item whose kind is one of kinds."""
+    return lambda item, path: _load_item(item, path, noun, kinds), _dump_item
+
+
+def _per_agent(what: str, attr: str, value: tuple) -> tuple:
+    """(load, dump) of a nonempty list of what, one value per agent; dump reads each operator's attr."""
+    load, dump = value
+    return (
+        lambda values, path: [load(v, f"{path}[{i}]") for i, v in enumerate(_as_list(values, what, path))],
+        lambda ops: [dump(getattr(op, attr)) for op in ops],
+    )
+
+
+# The problem kinds: each YAML kind's operator class, the name of its builder in
+# scenarios, and the (load, dump) pair of each of its keys, in export order. A
+# key is named after the builder parameter it fills, and may be left out when
+# that parameter has a default; dump reads the value off the family's
+# operators. A build looks its builder up by name, so a wrapper installed on
+# the scenarios module (a tracer's, a test's) sees it.
+PROBLEMS = {
+    "distance": (Projection, "build_distance_scenario", {
+        "sets": _per_agent("sets", "target_set", _items("set", "box", "ball")),
+        # a load-only stand-in for sets, the N boxes of staircase_boxes(N); give exactly one of the two
+        "staircase_agents": (lambda value, path: staircase_boxes(_as_int(value, path)), None),
+    }),
+    "dgd": (GradientStep, "build_dgd_scenario", {
+        "tau": (_as_float, lambda ops: float(ops[0].tau)),
+        "objectives": _per_agent("objectives", "objective", _items("objective", "quadratic", "huber")),
+    }),
+    "linear": (Affine, "build_linear_scenario", {
+        "matrices": _per_agent("matrices", "matrix", _MATRIX),
+        "offsets": _per_agent("offsets", "offset", _VECTOR),
+        "theta": (_or_none(_as_float), lambda ops: float(ops[0].theta)),
+    }),
+    "consensus": (Identity, "build_consensus_scenario", {
+        "agents": (_as_int, len),
+        "dimension": (_as_int, lambda ops: ops[0].n),
+    }),
+}
+# each kind's required keys: its builder's parameters without a default, but sets, which staircase_agents may fill
+_REQUIRED = {
+    kind: {name for name, p in signature(getattr(scenarios, build)).parameters.items() if p.default is p.empty}
+    & keys.keys() - {"sets"}
+    for kind, (_, build, keys) in PROBLEMS.items()
+}
 
 
 def _load_graph(section, path: str) -> GraphSchedule:
@@ -237,10 +273,7 @@ _RUN = {
     ),
     "init": (_load_init, lambda config: _dump_init(config.init)),
     # a null reference asks for the computed one, like a missing key
-    "reference": (
-        lambda value, path: None if value is None else _as_vector(value, path),
-        lambda config: None if config.reference is None else _floats(config.reference),
-    ),
+    "reference": (_or_none(_as_vector), lambda config: None if config.reference is None else _floats(config.reference)),
     "record_every": (_as_int, lambda config: config.record_every),
     "snapshot_every": (_as_int, lambda config: config.snapshot_every),
 }
@@ -282,54 +315,24 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     run_fields, run_kwargs = run_kwargs, {"name": name}
 
     problem = doc["problem"]
-    _check_keys(problem, {"kind"}.union(*(req + opt for req, opt in PROBLEM_KEYS.values())), {"kind"}, "problem")
+    _check_keys(problem, {"kind"}.union(*(keys for _, _, keys in PROBLEMS.values())), {"kind"}, "problem")
     kind = _as_str(problem["kind"], "problem.kind")
-    if kind not in PROBLEM_KEYS:
-        raise ConfigError(f"unknown problem kind {kind!r}; expected one of {tuple(PROBLEM_KEYS)}", "problem.kind")
-    required, optional = PROBLEM_KEYS[kind]
-    _check_keys(problem, {"kind", *required, *optional}, {"kind", *required}, "problem")
+    if kind not in PROBLEMS:
+        raise ConfigError(f"unknown problem kind {kind!r}; expected one of {tuple(PROBLEMS)}", "problem.kind")
+    _, build, keys = PROBLEMS[kind]
+    _check_keys(problem, {"kind", *keys}, {"kind", *_REQUIRED[kind]}, "problem")
     if kind != "consensus":
         run_kwargs.update(mode=mode, block_dims=block_dims, selector=selector, compute_reference=reference is None)
+    elif mode != "dkm" or block_dims is not None or selector is not None:
+        raise ConfigError("consensus problems run in mode dkm with a single block", "problem")
+    if kind == "distance" and ("sets" in problem) == ("staircase_agents" in problem):
+        raise ConfigError("give either sets or staircase_agents, not both", "problem")
 
     with _at("problem"):
-        if kind == "distance":
-            if ("sets" in problem) == ("staircase_agents" in problem):
-                raise ConfigError("give either sets or staircase_agents, not both", "problem")
-            if "staircase_agents" in problem:
-                sets = staircase_boxes(_as_int(problem["staircase_agents"], "problem.staircase_agents"))
-            else:
-                sets = _load_items(problem["sets"], "problem.sets", "set", ("box", "ball"))
-            scenario = build_distance_scenario(sets, schedule, stepsize, **run_kwargs)
-        elif kind == "dgd":
-            scenario = build_dgd_scenario(
-                _load_items(problem["objectives"], "problem.objectives", "objective", ("quadratic", "huber")),
-                _as_float(problem["tau"], "problem.tau"),
-                schedule,
-                stepsize,
-                **run_kwargs,
-            )
-        elif kind == "linear":
-            mats = _as_list(problem["matrices"], "matrices", "problem.matrices")
-            offs = _as_list(problem["offsets"], "offsets", "problem.offsets")
-            theta = problem.get("theta")
-            scenario = build_linear_scenario(
-                [_as_matrix(m, f"problem.matrices[{i}]") for i, m in enumerate(mats)],
-                [_as_vector(r, f"problem.offsets[{i}]") for i, r in enumerate(offs)],
-                schedule,
-                stepsize,
-                theta=None if theta is None else _as_float(theta, "problem.theta"),
-                **run_kwargs,
-            )
-        else:
-            if mode != "dkm" or block_dims is not None or selector is not None:
-                raise ConfigError("consensus problems run in mode dkm with a single block", "problem")
-            scenario = build_consensus_scenario(
-                _as_int(problem["agents"], "problem.agents"),
-                _as_int(problem["dimension"], "problem.dimension"),
-                schedule,
-                stepsize,
-                **run_kwargs,
-            )
+        args = {key: load(problem[key], f"problem.{key}") for key, (load, _) in keys.items() if key in problem}
+        if "staircase_agents" in args:
+            args["sets"] = args.pop("staircase_agents")
+        scenario = getattr(scenarios, build)(schedule=schedule, stepsize=stepsize, **args, **run_kwargs)
 
     for key, value in run_fields.items():
         with _at(f"run.{key}"):
@@ -359,24 +362,13 @@ def trace_path_from_config(doc: dict, default: str = "trace.csv") -> str:
 def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dict:
     """Serialize a scenario to a config document that loads back equivalently."""
     config = scenario.config
-    family = config.family
-    ops = family.operators
-
-    if all(isinstance(op, Projection) for op in ops):
-        problem = {"kind": "distance", "sets": [_dump_item(op.target_set) for op in ops]}
-    elif all(isinstance(op, GradientStep) for op in ops):
-        problem = {"kind": "dgd", "tau": float(ops[0].tau), "objectives": [_dump_item(op.objective) for op in ops]}
-    elif all(isinstance(op, Affine) for op in ops):
-        problem = {
-            "kind": "linear",
-            "matrices": [_matrix_lists(op.matrix) for op in ops],
-            "offsets": [_floats(op.offset) for op in ops],
-            "theta": float(ops[0].theta),
-        }
-    elif all(isinstance(op, Identity) for op in ops):
-        problem = {"kind": "consensus", "agents": family.n_agents, "dimension": family.n}
+    ops = config.family.operators
+    for kind, (cls, _, keys) in PROBLEMS.items():
+        if all(isinstance(op, cls) for op in ops):
+            break
     else:
         raise ConfigError("family mixes operator kinds; cannot serialize")
+    problem = {"kind": kind, **{key: dump(ops) for key, (_, dump) in keys.items() if dump is not None}}
 
     schedule = config.schedule
     ring = schedule.ring_params

@@ -294,15 +294,15 @@ def record_rounds(max_rounds: int, record_every: int | None) -> list[range]:
 
     record_every = r records the multiples of r below max_rounds. The default
     records rounds 0..1000, then, for each c >= 2, the multiples of c among
-    rounds 1000(c-1)+1..1000c: one piece per thousand rounds. Either way the
-    last piece is the final round, max_rounds.
+    rounds 1000(c-1)+1..1000c: a piece for each c < 1000, and one for all c >=
+    1000, whose only such multiple is 1000c. The last piece is the final round.
     """
     final = range(max_rounds, max_rounds + 1)
     if record_every is not None:
         return [range(0, max_rounds, record_every), final]
-    thousands = range(2, -(-(max_rounds - 1) // 1000) + 1)
+    thousands = range(2, min(-(-(max_rounds - 1) // 1000), 999) + 1)
     thinned = [range((1000 * (c - 1) // c + 1) * c, min(1000 * c, max_rounds - 1) + 1, c) for c in thousands]
-    return [range(min(max_rounds, 1001)), *thinned, final]
+    return [range(min(max_rounds, 1001)), *thinned, range(10**6, max_rounds, 1000), final]
 
 
 def run(config: RunConfig, validate: bool = True) -> Trace:
@@ -314,15 +314,15 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
 
     Inputs are checked once, before round 0: RunConfig has checked the
     shapes, and every alpha_k must lie in (0, 1]. The table is allocated once,
-    its k column from record_rounds. Rounds run in windows of G = max(2,
-    WINDOW_FLOATS // (rows * n)); a window's alpha_k and block uniforms (the
-    stream of one draw_block per round) are taken before its rounds, which do
-    the arithmetic of dkm_step / dbkm_step without their checks. The guard
-    checks a whole window and names the first round, agent and coordinate past
-    the limit, as a per-round check would. The window's rows, up to that round,
-    take their states from the window in unchecked record_residuals passes of
-    at most K = max(2, RECORD_FLOATS // (rows * n)), bit for bit those taken
-    singly.
+    its k column from record_rounds, or ParameterError names its size. Rounds
+    run in windows of G = max(2, WINDOW_FLOATS // (rows * n)); a window's
+    alpha_k and block uniforms (the stream of one draw_block per round) are
+    taken before its rounds, which do the arithmetic of dkm_step / dbkm_step
+    without their checks. The guard checks a whole window and names the first
+    round, agent and coordinate past the limit, as a per-round check would.
+    The window's rows, up to that round, take their states from the window in
+    unchecked record_residuals passes of at most K = max(2, RECORD_FLOATS //
+    (rows * n)), bit for bit those taken singly.
     """
     if validate:
         for report in validate_run(config):
@@ -345,7 +345,12 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     K = max(2, RECORD_FLOATS // (rows * family.n))
     win = np.empty((G + 1, rows, family.n))
     plan = record_rounds(max_rounds, config.record_every)
-    table, count = np.empty(sum(map(len, plan)), RECORD), 0
+    # len() of a range fails past 2**63 - 1 entries, so the rows are counted from each piece's ends
+    planned = sum((r[-1] - r.start) // r.step + 1 for r in plan if r)
+    try:
+        table, count = np.empty(planned, RECORD), 0
+    except (ValueError, MemoryError) as e:
+        raise ParameterError(f"max_rounds {max_rounds} plans {planned} records, a table too large to allocate") from e
     ks, filled = table["k"], 0
     for r in plan:
         ks[filled : filled + len(r)] = np.arange(r.start, r.stop, r.step)

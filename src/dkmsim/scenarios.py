@@ -215,13 +215,13 @@ def staircase_boxes(n_agents: int) -> list[Box]:
 
 
 def _scenario(name, ops, schedule, stepsize, mode, selector, reference, source, run_kwargs) -> Scenario:
-    """The tail every builder shares: family, RunConfig (selector only in dbkm), Scenario."""
+    """The tail every builder shares: family, RunConfig (selector only in dbkm, uniform by default), Scenario."""
     config = RunConfig(
         family=OperatorFamily(ops),
         stepsize=stepsize,
         schedule=schedule,
         mode=mode,
-        selector=selector if mode == "dbkm" else None,
+        selector=(selector or BlockSelector.uniform(ops[0].partition.m)) if mode == "dbkm" else None,
         reference=reference,
         **run_kwargs,
     )
@@ -250,14 +250,10 @@ def build_distance_scenario(
     partition = BlockPartition(block_dims or (n,))
     if partition.n != n:
         raise ParameterError(f"block dims {partition.dims} cover {partition.n} coordinates, sets need {n}")
-    if mode == "dbkm":
-        if selector is None:
-            selector = BlockSelector.uniform(partition.m)
-        if not selector.is_uniform():
-            raise ParameterError(
-                "block-coordinate projection runs require uniform block probabilities; "
-                f"got {selector.probabilities}"
-            )
+    if mode == "dbkm" and selector is not None and not selector.is_uniform():
+        raise ParameterError(
+            f"block-coordinate projection runs require uniform block probabilities; got {selector.probabilities}"
+        )
     ops = [Projection(partition, s) for s in sets]
     reference = oracle_distance_minimizer(sets) if compute_reference else None
     source = "mean-projection fixed-point iteration"
@@ -342,8 +338,8 @@ def build_linear_scenario(
 
 
 def build_consensus_scenario(
-    n_agents: int,
-    n: int,
+    agents: int,
+    dimension: int,
     schedule: GraphSchedule,
     stepsize: PowerLawStepsize,
     name: str = "consensus",
@@ -352,7 +348,7 @@ def build_consensus_scenario(
     """Identity operators: pure averaging. Any point is fixed, so the
     reference is the initial mean, which mixing preserves; with_run
     recomputes it for a new seed or init."""
-    family = OperatorFamily([Identity(BlockPartition.single(n)) for _ in range(n_agents)])
+    family = OperatorFamily([Identity(BlockPartition.single(dimension)) for _ in range(agents)])
     config = RunConfig(family=family, stepsize=stepsize, schedule=schedule, mode="dkm", **run_kwargs)
     return _InitialMeanScenario(name, config, "initial mean (identity operators fix every point)")
 

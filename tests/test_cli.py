@@ -14,6 +14,7 @@ from dkmsim import (
     run,
     save_config,
     scenario_from_config,
+    scenario_to_config,
     snapshot_path_for,
     write_trace,
 )
@@ -251,6 +252,17 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     assert out.splitlines() == [
         f"diverged after round {last_round} at agent 0, coordinate 0; partial trace written to {tmp_path / 'd.csv'}"
     ]
+
+
+def test_run_refuses_a_record_table_too_large_to_allocate(capsys, tmp_path):
+    doc = scenario_to_config(build_preset("paper-dkm-6"), trace_path=str(tmp_path / "t.csv"))
+    doc["run"].update(max_rounds=2**63, record_every=1)
+    save_config(doc, tmp_path / "huge.yaml")
+    code, out, err = cli(capsys, "run", str(tmp_path / "huge.yaml"), "--skip-validate")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.splitlines() == [f"error: max_rounds {2**63} plans {2**63 + 1} records, a table too large to allocate"]
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_to_a_missing_directory_is_a_config_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ import yaml
 
 from dkmsim import (
     BlockPartition,
+    BlockSelector,
     Identity,
     OperatorFamily,
     PowerLawStepsize,
@@ -23,7 +24,7 @@ from dkmsim import (
     scenario_to_config,
     trace_path_from_config,
 )
-from dkmsim.config import _RUN, KINDS
+from dkmsim.config import _RUN, KINDS, PROBLEMS
 from dkmsim.errors import ConfigError
 from dkmsim.graphs import GraphSchedule
 from dkmsim.scenarios import PRESET_NAMES, Scenario
@@ -402,6 +403,21 @@ def test_round_trip_docs_cover_every_table_kind():
 
     used = set().union(*(kinds(doc) for doc in ROUND_TRIP_DOCS.values()))
     assert used == set(KINDS) | {"explicit"}
+    assert {doc["problem"]["kind"] for doc in ROUND_TRIP_DOCS.values()} == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("name", ["dgd-huber", "linear-random"])
+def test_block_mode_without_probabilities_is_uniform(name, tmp_path):
+    doc = scenario_to_config(build_preset(name))
+    n = len(doc["run"]["reference"])
+    doc["run"].update(mode="dbkm", blocks=[1] * n)
+    assert "probabilities" not in doc["run"]
+    sc = scenario_from_config(doc)
+    assert sc.config.selector == BlockSelector.uniform(n)
+    exported = scenario_to_config(sc)
+    assert exported["run"]["probabilities"] == [1.0 / n] * n
+    save_config(exported, tmp_path / "exported.yaml")
+    assert scenario_from_config(load_config(tmp_path / "exported.yaml")).config.selector == sc.config.selector
 
 
 def test_explicit_matrix_graph_round_trips(tmp_path):

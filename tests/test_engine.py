@@ -6,6 +6,8 @@ single-point relaxed iteration on the agent-averaged displacement, exactly
 to rounding.
 """
 
+import bisect
+import itertools
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -42,7 +44,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import RECORD_FLOATS, WINDOW_FLOATS, record_rounds
+from dkmsim.engine import RECORD, RECORD_FLOATS, WINDOW_FLOATS, record_rounds
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -1025,12 +1027,39 @@ def test_divergence_at_a_window_edge_matches_checked_steps(mode, fatal):
 
 @pytest.mark.parametrize("record_every", [None, 1, 7])
 def test_record_count_equals_the_cadence(record_every):
-    # the default cadence thins at every multiple of 1000; sweep around the first two steps
+    # the default cadence thins at every multiple of 1000; sweep around the first two steps, and
+    # around 10**6, past which one piece holds every thinned round
     sweep = [1, 2, 3, 6, 7, 8, *range(995, 1006), *range(1995, 2006), 2999, 3000, 3001, 3002, 10001, 12345]
+    sweep += [998_999, 999_000, 999_001, 999_002, 999_999, 10**6, 10**6 + 1, 10**6 + 1000, 10**6 + 1001]
     kept = [k for k in range(max(sweep)) if keeps_record(k, record_every)]
     for max_rounds in sweep:
-        planned = [k for r in record_rounds(max_rounds, record_every) for k in r]
-        assert planned == [k for k in kept if k < max_rounds] + [max_rounds], max_rounds
+        planned = list(itertools.chain.from_iterable(record_rounds(max_rounds, record_every)))
+        assert planned == kept[: bisect.bisect_left(kept, max_rounds)] + [max_rounds], max_rounds
+    assert len(record_rounds(10**8, record_every)) <= 1001
+
+
+@pytest.mark.parametrize("max_rounds", [2**58, 2**63])
+def test_a_table_too_large_to_address_is_refused(max_rounds):
+    # 2**58 + 1 rows of 56 bytes pass 2**63 bytes; 2**63 + 1 rows pass numpy's largest dimension
+    config = RunConfig(
+        family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=max_rounds, record_every=1
+    )
+    with pytest.raises(ParameterError, match=f"^max_rounds {max_rounds} plans {max_rounds + 1} records"):
+        run(config)
+
+
+def test_a_table_the_allocator_refuses_is_refused(monkeypatch):
+    empty = np.empty
+
+    def refuse_records(shape, dtype=float, *args, **kwargs):
+        if dtype is RECORD:
+            raise MemoryError("cannot allocate")
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_records)
+    config = RunConfig(family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=10)
+    with pytest.raises(ParameterError, match="^max_rounds 10 plans 11 records"):
+        run(config)
 
 
 @pytest.mark.parametrize("record_every", [None, 1, 7])

@@ -255,6 +255,12 @@ def test_dgd_builder_rejects_tau_at_limit():
     assert sc.reference is not None
 
 
+def test_dgd_builder_defaults_selector_to_uniform():
+    objs = [Huber(np.array([1.0, 0.0]), 1.0), Huber(np.array([-1.0, 2.0]), 1.0)]
+    sc = build_dgd_scenario(objs, 1.0, ring_schedule(2, 1, 0.5), STEP, mode="dbkm", block_dims=(1, 1))
+    assert sc.config.selector == BlockSelector.uniform(2)
+
+
 def test_dgd_builder_quadratic_oracle_route():
     objs = [Quadratic(np.eye(1), np.array([1.0])), Quadratic(np.eye(1), np.array([3.0]))]
     sc = build_dgd_scenario(objs, tau=1.0, schedule=ring_schedule(2, 1, 0.5), stepsize=STEP)

@@ -12,11 +12,12 @@ unchanged. The set:
     --max-dist 5e-2`, without and with the exported reference;
   - a config whose lone agent doubles its state every round, and two of 4 agents
     x 4 coordinates on a graph of weight 1.01 (dkm and dbkm) that pass two
-    divergence-guard windows before they diverge; each run to divergence and
-    compared;
+    divergence-guard windows before they diverge; each exported, run to
+    divergence and compared;
   - a block-sampled config that records every 3rd round and snapshots every
-    7th, over 5000 rounds (a multiple of neither) and four windows; run and
-    compared.
+    7th, over 5000 rounds (a multiple of neither) and four windows; exported,
+    run and compared.
+Those exports cover the consensus, explicit-graph and staircase forms.
 Each case runs in its own directory under OUT with relative paths, so no
 output names the tree. OUT must not exist. dkmsim is imported from the src/
 beside this script; the rest is the standard library.
@@ -133,6 +134,7 @@ def cases():
 
     def divergent(case: Path, name: str) -> None:
         (case / f"{name}.yaml").write_text(json.dumps(DIVERGENT[name], indent=2) + "\n")
+        call(case, "export", "export", f"{name}.yaml")
         call(case, "run", "run", f"{name}.yaml", "--skip-validate")
         call(case, "compare", "compare", "trace.csv")
 
@@ -141,6 +143,7 @@ def cases():
 
     def coprime(case: Path) -> None:
         (case / "coprime.yaml").write_text(json.dumps(COPRIME, indent=2) + "\n")
+        call(case, "export", "export", "coprime.yaml")
         call(case, "run", "run", "coprime.yaml")
         call(case, "compare", "compare", "trace.csv")
 
