@@ -176,7 +176,7 @@ PROBLEMS = {
     "distance": (Projection, "build_distance_scenario", {
         "sets": _per_agent("sets", "target_set", _items("set", "box", "ball")),
         # a load-only stand-in for sets, the N boxes of staircase_boxes(N); give exactly one of the two
-        "staircase_agents": (lambda value, path: staircase_boxes(_as_int(value, path)), None),
+        "staircase_agents": (_as_int, None),
     }),
     "dgd": (GradientStep, "build_dgd_scenario", {
         "tau": (_as_float, lambda ops: float(ops[0].tau)),
@@ -330,8 +330,12 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
 
     with _at("problem"):
         args = {key: load(problem[key], f"problem.{key}") for key, (load, _) in keys.items() if key in problem}
+        # a family the schedule cannot hold is refused before it is built, whatever its size
+        for key in ("staircase_agents", "agents"):
+            if args.get(key, schedule.n_agents) != schedule.n_agents:
+                raise ConfigError(f"schedule has {schedule.n_agents} agents, family has {args[key]}", "problem")
         if "staircase_agents" in args:
-            args["sets"] = args.pop("staircase_agents")
+            args["sets"] = staircase_boxes(args.pop("staircase_agents"))
         scenario = getattr(scenarios, build)(schedule=schedule, stepsize=stepsize, **args, **run_kwargs)
 
     for key, value in run_fields.items():
@@ -389,6 +393,8 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
         "run": {key: value for key, (_, dump) in _RUN.items() if (value := dump(config)) is not None},
         "output": {"trace": trace_path or f"{scenario.name}.trace.csv"},
     }
+    if isinstance(scenario, scenarios._InitialMeanScenario):
+        del doc["run"]["reference"]  # the load derives it again, from the run's own seed and init
     return doc
 
 

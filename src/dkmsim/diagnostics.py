@@ -19,11 +19,6 @@ from .operators import OperatorFamily, _row_norms
 from .stepsize import PowerLawStepsize
 
 
-def _mean(states: NDArray[Float]) -> NDArray[Float]:
-    """states.mean(axis=0): the same sum and division, without its wrapper."""
-    return np.add.reduce(states, axis=0) / states.shape[0]
-
-
 def _max_row_norms(rows: NDArray[Float], runs: int = 1) -> list[float]:
     """np.linalg.norm(run, axis=1).max() for each of `runs` equal runs of rows, bit for bit.
 
@@ -36,25 +31,20 @@ def _max_row_norms(rows: NDArray[Float], runs: int = 1) -> list[float]:
     return [math.sqrt(v) for v in np.maximum.reduce(squares, axis=1).tolist()]
 
 
-def _norm(v: NDArray[Float]) -> float:
-    """||v|| of a 1-D v, the steps np.linalg.norm(v) takes, without its wrapper."""
-    return math.sqrt(v.dot(v))
-
-
 def mean_state(states) -> NDArray[Float]:
     """Agent average x_bar = (1/N) sum_i x_i."""
-    return _mean(as_states(states))
+    return as_states(states).mean(axis=0)
 
 
 def consensus_residual(states) -> float:
     """max_i ||x_i - x_bar||, the worst agent's distance to the average."""
     states = as_states(states)
-    return _max_row_norms(states - _mean(states))[0]
+    return _max_row_norms(states - states.mean(axis=0))[0]
 
 
 def fixed_point_residual(family: OperatorFamily, x) -> float:
     """||F(x) - x|| for the global operator F at a single point."""
-    return _norm(family.global_displacement(x))
+    return float(np.linalg.norm(family.global_displacement(x)))
 
 
 def distance_to_reference(states, reference) -> float:

@@ -1,11 +1,13 @@
 """Trace CSV files: one row per recorded round, plus a snapshot companion.
 
-Layout: `# key=value` metadata comment lines, then the header (RECORD's field
-names but max_state_norm), then data rows with at least 12 significant
-digits; NaN and the no-block -1 are left empty. An aborted run ends with
-`# aborted at k=<k>`. Snapshots go to the companion file
-snapshot_path_for(path), with header `k,agent,coord_index,value` and one
-line per cell; read_trace reads both.
+A trace file holds these lines and no others, in this order:
+  1. the version line `# dkmsim-trace v1`;
+  2. one `# key=value` line per _META key, in _META order;
+  3. the header, RECORD's field names but max_state_norm;
+  4. the data rows, at least 12 significant digits, NaN and no-block -1 empty;
+  5. for an aborted run only, `# aborted at k=<k>` as the last line.
+Snapshots go to the companion file snapshot_path_for(path), with header
+`k,agent,coord_index,value` and one line per cell; read_trace reads both.
 """
 
 from __future__ import annotations
@@ -101,8 +103,16 @@ def write_trace(trace: Trace, path) -> None:
         raise ConfigError(f"cannot write snapshot file: {e}") from e
 
 
-def _parse_meta(meta: dict, path) -> dict:
-    """Trace fields from the `# key=value` lines; every key write_trace writes must parse."""
+def _parse_meta(prologue: list[str], path) -> dict:
+    """Trace fields from the prologue's lines: `# key=value` for each _META key, in _META order, each must parse."""
+    meta, due = {}, list(_META)
+    for line_no, line in enumerate(prologue, start=2):
+        key, eq, value = line[2:].partition("=")
+        if not (line.startswith("# ") and eq and key in due):
+            want = f"a `# key=value` line of {' or '.join(due)}" if due else "the header"
+            raise ConfigError(f"{path}:{line_no}: expected {want}, got {line!r}")
+        due = due[due.index(key) + 1 :]
+        meta[key] = value
     fields = {}
     for key, (name, parse, _) in _META.items():
         if key not in meta:
@@ -151,14 +161,14 @@ def _refuse_row(parts: list[str], where: str, last_k: int, max_rounds: int, m: i
     return ConfigError(f"{where}: column selected_block: block {values['selected_block']} is not one of 0..{m - 1}")
 
 
-def _parse_rows(data: list[tuple[int, str]], path, max_rounds: int, m: int) -> np.ndarray:
-    """The RECORD table of the data rows: empty fields read as NaN and -1, max_state_norm as NaN.
+def _parse_rows(lines: list[str], first: int, path, max_rounds: int, m: int) -> np.ndarray:
+    """The RECORD table of rows, lines[0] being line `first`: empty fields read as NaN and -1, max_state_norm as NaN.
 
     Refuses a row that does not parse, and one that no run writes: a run
     records rounds 0..max_rounds in increasing order and draws blocks 0..m-1.
     """
     rows, last_k = [], -1
-    for line_no, line in data:
+    for line_no, line in enumerate(lines, start=first):
         parts = line.split(",")
         try:
             k, alpha, consensus, fp, dist, block = parts
@@ -180,45 +190,34 @@ def _parse_rows(data: list[tuple[int, str]], path, max_rounds: int, m: int) -> n
 def read_trace(path) -> Trace:
     """Parse a trace file and, when there is one, its snapshot companion.
 
-    Refuses malformed metadata and rows, rows no run could write (see
-    _parse_rows), an abort marker no run writes (outside 1..max_rounds, or
-    not past the last row's round), and a companion that read_snapshots
-    refuses or that holds a round the trace did not record. The table's
-    max_state_norm column is NaN: the CSV does not store it.
+    Refuses any line out of the layout above, malformed metadata and rows,
+    rows no run could write (see _parse_rows), an abort marker no run writes
+    (outside 1..max_rounds, or not past the last row's round), and a
+    companion that read_snapshots refuses or that holds a round the trace
+    did not record. The table's max_state_norm column is NaN: the CSV does
+    not store it.
     """
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read trace file: {e}") from e
-    meta: dict = {}
-    data: list[tuple[int, str]] = []
-    aborted_at = None
-    header_seen = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("aborted at k="):
-                try:
-                    aborted_at, abort_line = int(body.split("=", 1)[1]), line_no
-                except ValueError as e:
-                    raise ConfigError(f"{path}:{line_no}: abort marker {line!r} has no round number") from e
-            elif "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != HEADER:
-                raise ConfigError(f"{path}:{line_no}: expected header {HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        data.append((line_no, line))
-    if not header_seen:
+    # the header is the first line that is not a comment; the prologue is every line before it
+    header = next((i for i, line in enumerate(lines) if not line.startswith("#")), None)
+    if header is None:
         raise ConfigError(f"{path}: no header row found")
-    fields = _parse_meta(meta, path)
-    table = _parse_rows(data, path, fields["max_rounds"], len(fields["block_dims"]))
+    if lines[header] != HEADER:
+        raise ConfigError(f"{path}:{header + 1}: expected header {HEADER!r}, got {lines[header]!r}")
+    if lines[0] != "# dkmsim-trace v1":
+        raise ConfigError(f"{path}:1: expected the version line '# dkmsim-trace v1', got {lines[0]!r}")
+    fields = _parse_meta(lines[1:header], path)
+    rows, aborted_at = lines[header + 1 :], None
+    if rows and rows[-1].startswith("# aborted at k="):
+        abort_line, marker = len(lines), rows.pop()
+        try:
+            aborted_at = int(marker.removeprefix("# aborted at k="))
+        except ValueError as e:
+            raise ConfigError(f"{path}:{abort_line}: abort marker {marker!r} has no round number") from e
+    table = _parse_rows(rows, header + 2, path, fields["max_rounds"], len(fields["block_dims"]))
     if aborted_at is not None:
         # a run aborted at k = A diverged in round A - 1 and recorded rounds below A only
         if not 1 <= aborted_at <= fields["max_rounds"]:

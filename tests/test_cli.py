@@ -173,6 +173,30 @@ def test_run_seed_override_moves_seed_dependent_reference(capsys, consensus_file
         assert read_trace(tmp_path / "c.csv").last().dist_to_ref < 1e-12
 
 
+def test_exported_consensus_reference_follows_the_seed(capsys, consensus_file, tmp_path):
+    # export leaves out the reference the scenario derives, so --seed moves it as it does for the source config
+    exported = tmp_path / "exported.yaml"
+    assert cli(capsys, "export", str(consensus_file), "--output", str(exported))[0] == EXIT_OK
+    assert "reference" not in load_config(exported)["run"]
+    code, out, _ = cli(capsys, "run", str(exported), "--seed", "5")
+    assert code == EXIT_OK
+    assert "final distance to reference: 0\n" in out
+    assert read_trace(tmp_path / "c.csv").last().dist_to_ref < 1e-12
+
+
+def test_family_larger_than_the_graph_refused(capsys, tmp_path):
+    doc = {
+        "problem": {"kind": "distance", "staircase_agents": 8},
+        "graph": {"ring": {"agents": 6, "period": 2}},
+        "stepsize": {},
+        "run": {"max_rounds": 10},
+    }
+    save_config(doc, tmp_path / "big.yaml")
+    code, out, err = cli(capsys, "run", str(tmp_path / "big.yaml"), "--output", str(tmp_path / "t.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == ["config error: problem: schedule has 6 agents, family has 8"]
+
+
 def test_run_validates_overrides_on_config_file(capsys, consensus_file, tmp_path):
     code, _, err = cli(capsys, "run", str(consensus_file), "--seed", "-1")
     assert code == EXIT_VALIDATION
@@ -569,6 +593,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _append_abort_marker(-7), "{trace}:113: abort marker k=-7 lies outside 1..100"),
         ((), _append_abort_marker(99999), "{trace}:113: abort marker k=99999 lies outside 1..100"),
         ((), _append_abort_marker(50), "{trace}:113: abort marker k=50 is not past the last recorded round 100"),
+        ((), lambda files: files.update(trace=files["trace"] + "# seed=99\n"), "{trace}:113: expected 6 columns, got 1"),
     ],
     ids=[
         "reference-length",
@@ -595,6 +620,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "abort-marker-below-one",
         "abort-marker-past-max-rounds",
         "abort-marker-not-past-the-last-row",
+        "metadata-after-the-rows",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):

@@ -133,6 +133,23 @@ def test_staircase_shortcut_builds_six_boxes():
     assert sc.config.family.n == 3
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [{"kind": "distance", "staircase_agents": 7}, {"kind": "consensus", "agents": 7, "dimension": 3}],
+    ids=["staircase", "consensus"],
+)
+def test_agent_count_is_checked_before_the_family_is_built(monkeypatch, problem):
+    # a count the graph cannot hold is refused before a family of that size is built
+    def build(*args, **kwargs):
+        raise AssertionError("built a family before checking its agent count")
+
+    monkeypatch.setattr("dkmsim.config.staircase_boxes", build)
+    monkeypatch.setattr("dkmsim.scenarios.build_consensus_scenario", build)
+    doc = {"problem": problem, "graph": {"ring": {"agents": 6, "period": 2}}, "stepsize": {}, "run": {"max_rounds": 10}}
+    with pytest.raises(ConfigError, match=r"^problem: schedule has 6 agents, family has 7$"):
+        scenario_from_config(doc)
+
+
 def test_probabilities_require_block_mode():
     doc = make_doc()
     doc["run"]["probabilities"] = [0.5, 0.5]

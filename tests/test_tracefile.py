@@ -1,5 +1,6 @@
 """Trace CSV writing and strict reading, including the snapshot companion."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -318,6 +319,70 @@ def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, 
 
     with pytest.raises(ConfigError, match=message):
         read_trace(write_then_edit(dkm_trace, tmp_path, edit))
+
+
+# dkm_trace's file: the version line, nine metadata lines, the header (line 11), then rows from line 12
+DUE_AFTER_SEED = "a `# key=value` line of max_rounds or alpha0 or gamma or k0"
+ROWS = "expected 6 columns, got 1"
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _insert(lines, i, *texts):
+    lines[i:i] = texts
+
+
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        (lambda L: L.append("# seed=99"), -1, ROWS),
+        (lambda L: L.insert(15, "# gamma=0.9"), 16, ROWS),
+        (lambda L: _insert(L, 15, "", "# gamma=0.9", ""), 16, ROWS),
+        (lambda L: L.append(""), -1, ROWS),
+        (lambda L: L.insert(len(L) - 1, "# aborted at k=200"), -2, ROWS),
+        (lambda L: L.pop(0), 1, "expected the version line '# dkmsim-trace v1', got '# mode=dkm'"),
+        (lambda L: L.insert(6, "# seed=99"), 7, f"expected {DUE_AFTER_SEED}, got '# seed=99'"),
+        (lambda L: L.insert(6, "# colour=red"), 7, f"expected {DUE_AFTER_SEED}, got '# colour=red'"),
+        (lambda L: L.insert(6, "# edited by hand"), 7, f"expected {DUE_AFTER_SEED}, got '# edited by hand'"),
+        (lambda L: L.insert(6, "#seed=0"), 7, f"expected {DUE_AFTER_SEED}, got '#seed=0'"),
+        (lambda L: _swap(L, 2, 3), 4, "expected a `# key=value` line of blocks or seed"),
+        (lambda L: L.insert(10, "# seed=99"), 11, "expected the header, got '# seed=99'"),
+    ],
+    ids=[
+        "metadata-after-the-rows",
+        "metadata-between-rows",
+        "blank-lines-between-rows",
+        "blank-line-after-the-rows",
+        "abort-marker-not-last",
+        "no-version-line",
+        "repeated-key",
+        "unknown-key",
+        "bare-comment",
+        "no-space-after-hash",
+        "keys-out-of-order",
+        "key-after-the-last-key",
+    ],
+)
+def test_read_trace_refuses_lines_write_trace_does_not_write(dkm_trace, tmp_path, edit, line, message):
+    lines = []
+    path = write_then_edit(dkm_trace, tmp_path, lambda L: (edit(L), lines.extend(L)))
+    line_no = line if line > 0 else len(lines) + 1 + line
+    with pytest.raises(ConfigError, match=re.escape(f"tampered.csv:{line_no}: {message}")):
+        read_trace(path)
+
+
+def test_read_trace_reads_every_line_write_trace_writes(tmp_path):
+    trace = _diverged_trace()
+    path = tmp_path / "aborted.csv"
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# dkmsim-trace v1"
+    assert [line.split("=")[0] for line in lines[1:10]] == [f"# {key}" for key in METADATA_KEYS]
+    assert lines[10] == "k,alpha_k,consensus_residual,fp_residual,dist_to_ref,selected_block"
+    assert lines[-1] == f"# aborted at k={trace.aborted_at}"
+    assert len(read_trace(path).table) == len(lines) - 12 == len(trace.table)
 
 
 # ---------------------------------------------------------------------------

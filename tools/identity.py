@@ -10,6 +10,8 @@ unchanged. The set:
   - `oracle` and `validate` of every preset;
   - export -> run with record_every 1 and snapshot_every 50 -> `compare
     --max-dist 5e-2`, without and with the exported reference;
+  - the same for paper-dkm-6 in mode centralized with record_every 7: its
+    snapshot companion holds one state row per round;
   - a config whose lone agent doubles its state every round, and two of 4 agents
     x 4 coordinates on a graph of weight 1.01 (dkm and dbkm) that pass two
     divergence-guard windows before they diverge; each exported, run to
@@ -105,10 +107,11 @@ def call(case: Path, name: str, *argv: str):
     return code
 
 
-def round_trip(case: Path, preset: str) -> None:
+def round_trip(case: Path, preset: str, **run) -> None:
+    """Export preset, run it with record_every 1, snapshot_every 50 and the run keys in run, and compare."""
     call(case, "export", "export", preset, "--output", "exported.yaml")
     doc = load_config(case / "exported.yaml")
-    doc["run"].update(record_every=1, snapshot_every=int(CADENCE))
+    doc["run"].update({"record_every": 1, "snapshot_every": int(CADENCE), **run})
     doc["output"]["trace"] = "trace.csv"
     save_config(doc, case / "run.yaml")
     call(case, "run", "run", "run.yaml")
@@ -131,6 +134,7 @@ def cases():
         for command in ("export", "oracle", "validate"):
             yield f"{command}-{preset}", lambda case, preset=preset, command=command: call(case, command, command, preset)
         yield f"roundtrip-{preset}", lambda case, preset=preset: round_trip(case, preset)
+    yield "roundtrip-centralized", lambda case: round_trip(case, "paper-dkm-6", mode="centralized", record_every=7)
 
     def divergent(case: Path, name: str) -> None:
         (case / f"{name}.yaml").write_text(json.dumps(DIVERGENT[name], indent=2) + "\n")
