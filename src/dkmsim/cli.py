@@ -14,12 +14,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .config import load_config, scenario_from_config, scenario_to_config, trace_path_from_config
+from .config import dump_config, load_config, scenario_from_config, scenario_to_config, trace_path_from_config
 from .diagnostics import TraceRecord, distance_to_reference, fit_consensus_rate, fixed_point_residual
 from .engine import run, validate_full
-from .errors import ConfigError, DivergenceError, DkmsimError
+from .errors import ConfigError, DivergenceError, DkmsimError, read_text
 from .scenarios import PRESET_NAMES, Scenario, build_preset
 from .tracefile import check_trace_path, read_trace, snapshot_path_for, write_trace
 
@@ -122,10 +121,7 @@ def _load_reference_arg(text: str) -> np.ndarray:
         what = f"reference file {source!r}"
         if not Path(source).exists():
             raise ConfigError(f"{what} does not exist")
-        try:
-            source = Path(source).read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read {what}: {e}") from e
+        source = read_text(source, what)
     try:
         reference = np.asarray(json.loads(source), dtype=np.float64)
     except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError; a JSON object is a TypeError
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_export(args) -> int:
     scenario, trace_path = _load_scenario(args.scenario)
     doc = scenario_to_config(scenario, trace_path=trace_path)
-    text = yaml.safe_dump(doc, sort_keys=False)
+    text = dump_config(doc)
     if args.output is None:
         sys.stdout.write(text)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import MISSING, replace
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -18,13 +19,17 @@ import yaml
 from . import scenarios
 from .blocks import as_point, as_states
 from .engine import MODES, BlockSelector, UniformInit
-from .errors import ConfigError, DkmsimError
+from .errors import ConfigError, DkmsimError, read_text
 from .graphs import GraphSchedule, ring_schedule
 from .operators import Affine, Ball, Box, GradientStep, Huber, Identity, Projection, Quadratic
 from .scenarios import Scenario, staircase_boxes
 from .stepsize import PowerLawStepsize
 
 TOP_KEYS = {"name", "problem", "graph", "stepsize", "run", "output"}
+
+# The YAML reader and writer of every config: libyaml's C classes when PyYAML
+# was built with them (several times faster, and the same text), else the pure ones.
+_LOADER, _DUMPER = (yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__ else (yaml.SafeLoader, yaml.SafeDumper)
 
 
 def _check_keys(mapping, allowed: set[str], required: set[str], path: str) -> None:
@@ -281,13 +286,18 @@ _RUN = {
 
 def load_config(path) -> dict:
     """Read and structurally validate a YAML config file."""
+    text = read_text(path, "config file")
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from e
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as e:
-        raise ConfigError(f"not valid YAML: {e}") from e
+        # one line: where the problem is, what it is, and what the parser was reading
+        mark = getattr(e, "problem_mark", None)
+        if mark is None:  # a ReaderError gives no line
+            raise ConfigError(f"{path}: not valid YAML: {str(e).splitlines()[0]}") from e
+        problem = e.problem
+        if e.context and e.context_mark:
+            problem += f" ({e.context} at {e.context_mark.line + 1}:{e.context_mark.column + 1})"
+        raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: not valid YAML: {problem}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping of sections")
     return doc
@@ -398,6 +408,10 @@ def scenario_to_config(scenario: Scenario, trace_path: str | None = None) -> dic
     return doc
 
 
+def dump_config(doc: dict) -> str:
+    """A config document as YAML text, keys in the document's order."""
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
+
+
 def save_config(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    Path(path).write_text(dump_config(doc))

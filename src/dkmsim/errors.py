@@ -1,10 +1,12 @@
-"""Typed exceptions raised across the package.
+"""Typed exceptions raised across the package, and the one way files are read.
 
 Every error carries enough structure for a caller (or the CLI) to report
 what failed without parsing message strings.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class DkmsimError(Exception):
@@ -80,3 +82,14 @@ class DivergenceError(DkmsimError):
 
 class OracleError(DkmsimError):
     """A reference-solution oracle could not produce an answer."""
+
+
+def read_text(path, what: str) -> str:
+    """The file at path as UTF-8 text; a file that cannot be read or is not UTF-8 is a ConfigError naming what."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read {what}: {e}") from e
+    except UnicodeDecodeError as e:
+        byte = f"byte {e.object[e.start]:#04x} at offset {e.start}"
+        raise ConfigError(f"cannot read {what}: {path} is not UTF-8 text ({byte})") from e

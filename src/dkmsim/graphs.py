@@ -174,11 +174,15 @@ def check_q_strong_connectivity(schedule: GraphSchedule, Q: int | None = None) -
     if Q < 1:
         raise ParameterError(f"connectivity window Q must be >= 1, got {Q}")
     violations = []
+    verdicts: dict[bytes, bool] = {}  # each distinct union is checked once
     for offset in range(schedule.period):
         union = np.zeros((schedule.n_agents, schedule.n_agents), dtype=bool)
         for l in range(1, Q + 1):
             union |= schedule.at(offset + l) > 0
-        if not strongly_connected(union):
+        key = union.tobytes()
+        if key not in verdicts:
+            verdicts[key] = strongly_connected(union)
+        if not verdicts[key]:
             violations.append(
                 Violation(f"window starting after round {offset}", f"union of {Q} graphs is not strongly connected")
             )

@@ -20,13 +20,15 @@ import numpy as np
 
 from .diagnostics import RECORD, Trace
 from .engine import MODES
-from .errors import ConfigError, DkmsimError
+from .errors import ConfigError, DkmsimError, read_text
 from .stepsize import PowerLawStepsize
 
 # the trace file columns; max_state_norm stays out of the file
 COLUMNS = RECORD.names[:-1]
 HEADER = ",".join(COLUMNS)
 SNAPSHOT_HEADER = "k,agent,coord_index,value"
+# the columns that hold norms, which a run never writes negative
+_NORMS = ("consensus_residual", "fp_residual", "dist_to_ref")
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -165,7 +167,9 @@ def _parse_rows(lines: list[str], first: int, path, max_rounds: int, m: int) -> 
     """The RECORD table of rows, lines[0] being line `first`: empty fields read as NaN and -1, max_state_norm as NaN.
 
     Refuses a row that does not parse, and one that no run writes: a run
-    records rounds 0..max_rounds in increasing order and draws blocks 0..m-1.
+    records rounds 0..max_rounds in increasing order, draws blocks 0..m-1,
+    takes stepsizes alpha_k in (0, 1] and writes no negative norm. The
+    value ranges are checked on the parsed table, after every row parsed.
     """
     rows, last_k = [], -1
     for line_no, line in enumerate(lines, start=first):
@@ -184,7 +188,18 @@ def _parse_rows(lines: list[str], first: int, path, max_rounds: int, m: int) -> 
             raise _refuse_row(parts, f"{path}:{line_no}", last_k, max_rounds, m)
         rows.append((*row, math.nan))
         last_k = row[0]
-    return np.array(rows, dtype=RECORD)
+    table = np.array(rows, dtype=RECORD)
+    alpha = table["alpha_k"]
+    # one row per checked column, True where a row's value is out of range; an empty cell's NaN is in range
+    faults = np.stack([(alpha <= 0) | (alpha > 1), *(table[name] < 0 for name in _NORMS)])
+    at_fault = faults.any(axis=0)
+    if at_fault.any():
+        i = int(at_fault.argmax())
+        name = ("alpha_k", *_NORMS)[int(faults[:, i].argmax())]
+        cell = lines[i].split(",")[COLUMNS.index(name)]
+        why = "lies outside (0, 1], the stepsizes a run takes" if name == "alpha_k" else "is a negative norm"
+        raise ConfigError(f"{path}:{first + i}: column {name}: {cell!r} {why}")
+    return table
 
 
 def read_trace(path) -> Trace:
@@ -197,10 +212,7 @@ def read_trace(path) -> Trace:
     did not record. The table's max_state_norm column is NaN: the CSV does
     not store it.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read trace file: {e}") from e
+    lines = read_text(path, "trace file").splitlines()
     # the header is the first line that is not a comment; the prologue is every line before it
     header = next((i for i, line in enumerate(lines) if not line.startswith("#")), None)
     if header is None:
@@ -246,10 +258,7 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
     round's rows x n cells agent by agent, coordinates increasing.
     """
     rows, n = shape
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read snapshot file: {e}") from e
+    lines = read_text(path, "snapshot file").splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise ConfigError(f"{path}:1: expected header {SNAPSHOT_HEADER!r}")
     cells = [(agent, coord) for agent in range(rows) for coord in range(n)]

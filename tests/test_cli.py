@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output text, and written files."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -360,6 +361,25 @@ def test_run_missing_config(capsys, tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "oracle", "export"])
+def test_non_utf8_config_is_refused(capsys, tmp_path, command):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: caf\xe9\n")
+    code, out, err = cli(capsys, command, str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == [f"config error: cannot read config file: {path} is not UTF-8 text (byte 0xe9 at offset 9)"]
+
+
+def test_invalid_yaml_is_one_line(capsys, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("problem: [unclosed\n  nope")
+    code, out, err = cli(capsys, "run", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert len(err.splitlines()) == 1
+    # the line and column differ between libyaml and the pure parser: both mark the end of the file
+    assert re.fullmatch(rf"config error: {re.escape(str(path))}:[23]:\d+: not valid YAML: .*'\]'.*\n", err)
+
+
 def test_run_unknown_key(capsys, tmp_path):
     doc = base_doc(tmp_path / "t.csv")
     doc["run"]["typo"] = 1
@@ -594,6 +614,12 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _append_abort_marker(99999), "{trace}:113: abort marker k=99999 lies outside 1..100"),
         ((), _append_abort_marker(50), "{trace}:113: abort marker k=50 is not past the last recorded round 100"),
         ((), lambda files: files.update(trace=files["trace"] + "# seed=99\n"), "{trace}:113: expected 6 columns, got 1"),
+        (("--max-dist", "0.05"), _set_last_row(4, "-1"), "{trace}:112: column dist_to_ref: '-1' is a negative norm"),
+        ((), _set_last_row(2, "-0.5"), "{trace}:112: column consensus_residual: '-0.5' is a negative norm"),
+        ((), _set_last_row(3, "-1e-09"), "{trace}:112: column fp_residual: '-1e-09' is a negative norm"),
+        ((), _set_last_row(1, "-7"), "{trace}:112: column alpha_k: '-7' lies outside (0, 1], the stepsizes a run takes"),
+        ((), _set_last_row(1, "0"), "{trace}:112: column alpha_k: '0' lies outside (0, 1], the stepsizes a run takes"),
+        ((), _set_last_row(1, "1.5"), "{trace}:112: column alpha_k: '1.5' lies outside (0, 1], the stepsizes a run takes"),
     ],
     ids=[
         "reference-length",
@@ -621,6 +647,12 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "abort-marker-past-max-rounds",
         "abort-marker-not-past-the-last-row",
         "metadata-after-the-rows",
+        "negative-distance",
+        "negative-consensus-residual",
+        "negative-fp-residual",
+        "negative-alpha",
+        "zero-alpha",
+        "alpha-above-one",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):
@@ -635,6 +667,61 @@ def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, 
     assert "final distance" not in out
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: " + message.format(trace=trace, snap=snapshot_path_for(trace), dir=tmp_path))
+
+
+def test_compare_reads_the_first_out_of_range_row(capsys, dkm6_trace, tmp_path):
+    # rows 50 and 80 both hold a value no run writes; the refusal names the earlier one
+    lines = dkm6_trace.read_text().splitlines()
+    for k, column, value in ((80, 1, "2"), (50, 4, "-3")):
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{k},"))
+        parts = lines[i].split(",")
+        parts[column] = value
+        lines[i] = ",".join(parts)
+    trace = tmp_path / "t.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    code, _, err = cli(capsys, "compare", str(trace))
+    assert code == EXIT_PARSE
+    assert err.splitlines() == [f"config error: {trace}:62: column dist_to_ref: '-3' is a negative norm"]
+
+
+def _append_byte_ff(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def test_non_utf8_trace_is_refused(capsys, dkm6_trace, tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(dkm6_trace.read_bytes())
+    offset = trace.stat().st_size
+    _append_byte_ff(trace)
+    code, out, err = cli(capsys, "compare", str(trace))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == [
+        f"config error: cannot read trace file: {trace} is not UTF-8 text (byte 0xff at offset {offset})"
+    ]
+
+
+def test_non_utf8_snapshot_companion_is_refused(capsys, dkm6_trace, tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(dkm6_trace.read_bytes())
+    snap = snapshot_path_for(trace)
+    snap.write_bytes(snapshot_path_for(dkm6_trace).read_bytes())
+    offset = snap.stat().st_size
+    _append_byte_ff(snap)
+    code, out, err = cli(capsys, "compare", str(trace))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == [
+        f"config error: cannot read snapshot file: {snap} is not UTF-8 text (byte 0xff at offset {offset})"
+    ]
+
+
+def test_non_utf8_reference_file_is_refused(capsys, dkm6_trace, tmp_path):
+    reference = tmp_path / "r.json"
+    reference.write_bytes(b"[1.0, 2.0, \xff3.0]")
+    code, out, err = cli(capsys, "compare", str(dkm6_trace), "--reference", str(reference))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == [
+        f"config error: cannot read reference file '{reference}': {reference} is not UTF-8 text (byte 0xff at offset 11)"
+    ]
 
 
 def test_compare_tail_start_past_end(capsys, finished_trace):

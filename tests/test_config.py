@@ -1,6 +1,10 @@
 """Config documents: strict parsing, clear error paths, lossless round-trips."""
 
 import copy
+import importlib.util
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from dkmsim import (
     scenario_to_config,
     trace_path_from_config,
 )
-from dkmsim.config import _RUN, KINDS, PROBLEMS
+from dkmsim import config
+from dkmsim.config import _RUN, KINDS, PROBLEMS, dump_config
 from dkmsim.errors import ConfigError
 from dkmsim.graphs import GraphSchedule
 from dkmsim.scenarios import PRESET_NAMES, Scenario
@@ -61,6 +66,26 @@ def test_invalid_yaml(tmp_path):
     p.write_text("problem: [unclosed\n  nope")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(p)
+
+
+def test_invalid_yaml_names_line_and_column(tmp_path):
+    p = tmp_path / "bad.yaml"
+    p.write_text("run:\n  mode: dkm\n  seed: [1, 2\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(f"{p}:4:1: not valid YAML: ")
+    assert str(info.value).endswith(" (while parsing a flow sequence at 3:9)")
+    assert "\n" not in str(info.value)
+
+
+def test_unreadable_character_is_one_line(tmp_path):
+    # a reader error marks no line; its first line names the character
+    p = tmp_path / "bell.yaml"
+    p.write_text("name: a\x07b\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(f"{p}: not valid YAML: unacceptable character #x0007: ")
+    assert "\n" not in str(info.value)
 
 
 def test_non_mapping_document(tmp_path):
@@ -499,3 +524,76 @@ def test_deep_copies_do_not_alias():
     assert not np.shares_memory(box1.lower, box2.lower)
     assert sc1.config.reference is not None
     assert not np.shares_memory(sc1.config.reference, sc2.config.reference)
+
+
+# ---------------------------------------------------------------------------
+# the YAML classes: libyaml's when PyYAML has them, and the pure ones give the same documents
+
+IDENTITY_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+PURE = (yaml.SafeLoader, yaml.SafeDumper)
+
+
+def _module_copy(name: str, path: Path):
+    """A fresh copy of the module at path, run under name and left out of sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def identity_documents():
+    """(label, document) for every config tools/identity.py writes, and the export of each."""
+    identity = _module_copy("identity_script", IDENTITY_SCRIPT)
+    for name in PRESET_NAMES:
+        yield f"export-{name}", scenario_to_config(build_preset(name), trace_path=f"{name}.trace.csv")
+    # round_trip: the export, with the record and snapshot cadence of every round trip and the case's run keys
+    centralized = ("centralized", "paper-dkm-6", {"mode": "centralized", "record_every": 7})
+    for label, name, run in [*((name, name, {}) for name in PRESET_NAMES), centralized]:
+        doc = scenario_to_config(build_preset(name), trace_path=f"{name}.trace.csv")
+        doc["run"].update({"record_every": 1, "snapshot_every": int(identity.CADENCE), **run})
+        doc["output"]["trace"] = "trace.csv"
+        yield f"roundtrip-{label}", doc
+    written = {**identity.DIVERGENT, "coprime": identity.COPRIME, "quoting": identity.QUOTING}
+    for name, doc in written.items():
+        yield name, doc
+        exported = scenario_to_config(scenario_from_config(doc, name=name), trace_path=trace_path_from_config(doc))
+        yield f"export-{name}", exported
+
+
+@pytest.mark.parametrize("classes", ["module", "pure"])
+def test_configs_load_and_dump_as_the_pure_classes_do(monkeypatch, tmp_path, classes):
+    if classes == "pure":
+        monkeypatch.setattr(config, "_LOADER", PURE[0])
+        monkeypatch.setattr(config, "_DUMPER", PURE[1])
+    labels = []
+    for label, doc in identity_documents():
+        text = dump_config(doc)
+        assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False), label
+        # the block text export writes, and the JSON text the identity script writes its own configs in
+        for form, source in (("yaml", text), ("json", json.dumps(doc, indent=2) + "\n")):
+            path = tmp_path / f"{label}.{form}"
+            path.write_text(source)
+            assert load_config(path) == yaml.load(source, Loader=yaml.SafeLoader), (label, form)
+        labels.append(label)
+    assert len(labels) == 2 * len(PRESET_NAMES) + 1 + 2 * 5
+
+
+@pytest.mark.parametrize("with_libyaml", [True, False])
+def test_libyaml_classes_are_chosen_when_pyyaml_has_them(monkeypatch, with_libyaml):
+    if with_libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    fresh = _module_copy("dkmsim.config_copy", Path(config.__file__))
+    want = (yaml.CSafeLoader, yaml.CSafeDumper) if with_libyaml else PURE
+    assert (fresh._LOADER, fresh._DUMPER) == want
+
+
+def test_libyaml_reads_a_trailing_tab_the_pure_scanner_refuses(monkeypatch, tmp_path):
+    if config._LOADER is not getattr(yaml, "CSafeLoader", None):
+        pytest.skip("configs load through the pure classes here")
+    path = tmp_path / "tab.yaml"
+    path.write_text("a: 1\t\n")
+    assert load_config(path) == {"a": 1}
+    monkeypatch.setattr(config, "_LOADER", PURE[0])
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:1:5: not valid YAML: found character '\\t' that cannot")):
+        load_config(path)

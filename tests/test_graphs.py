@@ -8,6 +8,7 @@ against the same oracle window by window.
 import numpy as np
 import pytest
 
+from dkmsim import graphs
 from dkmsim import (
     GraphSchedule,
     check_doubly_stochastic,
@@ -20,6 +21,7 @@ from dkmsim import (
 )
 from dkmsim.diagnostics import consensus_residual
 from dkmsim.errors import DimensionMismatchError, ParameterError
+from dkmsim.validation import ValidationReport, Violation
 
 from oracles import closure_strongly_connected
 
@@ -184,6 +186,42 @@ def test_edgeless_schedule_fails_every_window():
     sched = GraphSchedule([np.eye(3)], Q=1, weight_floor=0.5)
     for Q in (1, 2, 5):
         assert not check_q_strong_connectivity(sched, Q=Q).passed
+
+
+def counting_strongly_connected(monkeypatch):
+    """The unions graphs.strongly_connected is called with, from here on."""
+    calls = []
+
+    def counted(adjacency):
+        calls.append(adjacency.copy())
+        return strongly_connected(adjacency)
+
+    monkeypatch.setattr(graphs, "strongly_connected", counted)
+    return calls
+
+
+def test_connectivity_checks_each_distinct_window_once(monkeypatch):
+    # a ring of period Q: every window of Q rounds holds the whole period, so all 10 unions are one matrix
+    calls = counting_strongly_connected(monkeypatch)
+    report = check_q_strong_connectivity(ring_schedule(100, 10, 0.5))
+    assert report.passed and report.detail == "10 window offsets checked"
+    assert len(calls) == 1
+
+
+def test_connectivity_report_names_every_failing_offset(monkeypatch):
+    # period 5, Q = 1: offset t checks graph t + 1, so offsets 0 and 3 share graph A, and 4 checks the identity
+    A = np.eye(4)[[1, 0, 2, 3]]  # swaps agents 0 and 1
+    B = np.eye(4)[[0, 1, 3, 2]]  # swaps agents 2 and 3
+    sched = GraphSchedule([np.eye(4), A, B, cycle_permutation(4), A], Q=1, weight_floor=0.5)
+    calls = counting_strongly_connected(monkeypatch)
+    report = check_q_strong_connectivity(sched)
+    not_connected = "union of 1 graphs is not strongly connected"
+    assert report == ValidationReport(
+        "graph: strong connectivity over window Q=1",
+        False,
+        [Violation(f"window starting after round {offset}", not_connected) for offset in (0, 1, 3, 4)],
+    )
+    assert [c.tolist() for c in calls] == [(G > 0).tolist() for G in (A, B, cycle_permutation(4), np.eye(4))]
 
 
 # ---------------------------------------------------------------------------

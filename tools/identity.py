@@ -18,7 +18,10 @@ unchanged. The set:
     divergence and compared;
   - a block-sampled config that records every 3rd round and snapshots every
     7th, over 5000 rounds (a multiple of neither) and four windows; exported,
-    run and compared.
+    run and compared;
+  - a config whose name and output.trace need YAML quoting (a space, `: `,
+    `#`, a leading `-` and a non-ASCII letter); exported to stdout and to a
+    file, and the file run and compared.
 Those exports cover the consensus, explicit-graph and staircase forms.
 Each case runs in its own directory under OUT with relative paths, so no
 output names the tree. OUT must not exist. dkmsim is imported from the src/
@@ -87,6 +90,16 @@ COPRIME = {
     "output": {"trace": "trace.csv"},
 }
 
+# a name and a trace path that YAML must quote
+QUOTING = {
+    "name": "- run: #1 caf\u00e9",
+    "problem": {"kind": "distance", "staircase_agents": 4},
+    "graph": {"ring": {"agents": 4, "period": 2, "weight": 0.5}},
+    "stepsize": {"gamma": 0.7},
+    "run": {"mode": "dkm", "max_rounds": 300, "seed": 0},
+    "output": {"trace": "- trace: #1 caf\u00e9.csv"},
+}
+
 
 def call(case: Path, name: str, *argv: str):
     """Run one dkmsim command inside case/, saving its stdout, stderr and exit code as name.*."""
@@ -152,6 +165,15 @@ def cases():
         call(case, "compare", "compare", "trace.csv")
 
     yield "cadence-coprime-dbkm", coprime
+
+    def quoting(case: Path) -> None:
+        (case / "quoting.yaml").write_text(json.dumps(QUOTING, indent=2) + "\n")
+        call(case, "export", "export", "quoting.yaml")
+        call(case, "export-file", "export", "quoting.yaml", "--output", "exported.yaml")
+        call(case, "run", "run", "exported.yaml")
+        call(case, "compare", "compare", QUOTING["output"]["trace"])
+
+    yield "quoting", quoting
 
 
 def write_set(out: Path) -> None:
