@@ -25,14 +25,11 @@ from .diagnostics import (
     distance_to_reference,
     fit_consensus_rate,
     fixed_point_residual,
-    mean_state,
-    weighted_block_norm,
 )
 from .engine import (
     BlockSelector,
     RunConfig,
     UniformInit,
-    centralized_km,
     dbkm_step,
     dkm_step,
     draw_block,

@@ -42,10 +42,6 @@ class BlockPartition:
             raise BlockIndexError(l, self.m)
         return slice(self.offsets[l], self.offsets[l + 1])
 
-    def split(self, x: NDArray[Float]) -> list[NDArray[Float]]:
-        """View of each block of x, in order."""
-        return [x[self.block_slice(l)] for l in range(self.m)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BlockPartition) and self.dims == other.dims
 
@@ -64,11 +60,9 @@ def as_point(x, n: int | None = None) -> NDArray[Float]:
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D point, got shape {arr.shape}", got=arr.shape)
+        raise DimensionMismatchError(f"expected a 1-D point, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
-        raise DimensionMismatchError(
-            f"point has {arr.shape[0]} coordinates, expected {n}", expected=n, got=arr.shape[0]
-        )
+        raise DimensionMismatchError(f"point has {arr.shape[0]} coordinates, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("point has non-finite coordinates")
     return arr
@@ -78,17 +72,11 @@ def as_states(x, n_agents: int | None = None, n: int | None = None) -> NDArray[F
     """Validate an (agents x coordinates) state matrix."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D state matrix, got shape {arr.shape}", got=arr.shape)
+        raise DimensionMismatchError(f"expected a 2-D state matrix, got shape {arr.shape}")
     if n_agents is not None and arr.shape[0] != n_agents:
-        raise DimensionMismatchError(
-            f"state matrix has {arr.shape[0]} rows, expected {n_agents} agents",
-            expected=n_agents,
-            got=arr.shape[0],
-        )
+        raise DimensionMismatchError(f"state matrix has {arr.shape[0]} rows, expected {n_agents} agents")
     if n is not None and arr.shape[1] != n:
-        raise DimensionMismatchError(
-            f"state matrix has {arr.shape[1]} columns, expected {n}", expected=n, got=arr.shape[1]
-        )
+        raise DimensionMismatchError(f"state matrix has {arr.shape[1]} columns, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("state matrix has non-finite entries")
     return arr

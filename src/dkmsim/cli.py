@@ -8,6 +8,7 @@ arguments accept either a preset name or a path to a YAML config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -183,7 +184,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. A parsed `command` names its handler, cmd_<command>."""
     parser = argparse.ArgumentParser(
         prog="dkmsim",
         description="Distributed fixed-point iteration simulator over time-varying graphs.",
@@ -194,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run every assumption check and report pass/fail")
     p.add_argument("scenario", help=scenario_help)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="simulate and write a trace file")
     p.add_argument("scenario", help=scenario_help)
@@ -209,11 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record full state snapshots every K rounds",
     )
     p.add_argument("--output", default=None, help="trace file path (default from config)")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("oracle", help="print the scenario's reference solution")
     p.add_argument("scenario", help=scenario_help)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="summarize a trace against a reference/thresholds")
     p.add_argument("trace", help="path to a trace CSV written by `dkmsim run`")
@@ -229,12 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="first round of the rate-fit tail (default max_rounds/10)",
     )
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("export", help="write a preset's config YAML for editing")
     p.add_argument("scenario", help=scenario_help)
     p.add_argument("--output", default=None, help="where to write the YAML (default stdout)")
-    p.set_defaults(func=cmd_export)
     return parser
 
 
@@ -254,10 +252,11 @@ def cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a handler replaced on this module after the first call is the one run
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_PARSE

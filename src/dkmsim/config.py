@@ -8,6 +8,8 @@ loads back to an equivalent scenario.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import MISSING, replace
 from inspect import signature
@@ -205,28 +207,34 @@ _REQUIRED = {
 }
 
 
-def _load_graph(section, path: str) -> GraphSchedule:
+def _load_graph(section, path: str) -> tuple[int, Callable[[], GraphSchedule]]:
+    """The schedule's agent count, and a call that builds it: a ring's N x N matrices wait for the count's check."""
     _check_keys(section, {"ring", "matrices", "window", "weight_floor"}, set(), path)
     has_ring = "ring" in section
     has_explicit = "matrices" in section
     if has_ring == has_explicit:
         raise ConfigError("give either ring: {...} or matrices/window/weight_floor, not both", path)
+    if has_ring:
+        ring = section["ring"]
+        _check_keys(ring, {"agents", "period", "weight"}, {"agents", "period"}, f"{path}.ring")
+        agents = _as_int(ring["agents"], f"{path}.ring.agents")
+        period = _as_int(ring["period"], f"{path}.ring.period")
+        weight = _as_float(ring.get("weight", 0.5), f"{path}.ring.weight")
+
+        def build() -> GraphSchedule:
+            with _at(path):
+                return ring_schedule(agents, period, weight)
+
+        return agents, build
+    _check_keys(section, {"matrices", "window", "weight_floor"}, {"matrices", "window", "weight_floor"}, path)
+    mats = _as_list(section["matrices"], "matrices", f"{path}.matrices")
     with _at(path):
-        if has_ring:
-            ring = section["ring"]
-            _check_keys(ring, {"agents", "period", "weight"}, {"agents", "period"}, f"{path}.ring")
-            return ring_schedule(
-                _as_int(ring["agents"], f"{path}.ring.agents"),
-                _as_int(ring["period"], f"{path}.ring.period"),
-                _as_float(ring.get("weight", 0.5), f"{path}.ring.weight"),
-            )
-        _check_keys(section, {"matrices", "window", "weight_floor"}, {"matrices", "window", "weight_floor"}, path)
-        mats = _as_list(section["matrices"], "matrices", f"{path}.matrices")
-        return GraphSchedule(
+        schedule = GraphSchedule(
             [_as_matrix(m, f"{path}.matrices[{t}]") for t, m in enumerate(mats)],
             Q=_as_int(section["window"], f"{path}.window"),
             weight_floor=_as_float(section["weight_floor"], f"{path}.weight_floor"),
         )
+    return schedule.n_agents, lambda: schedule
 
 
 def _load_init(section, path: str):
@@ -294,10 +302,20 @@ def load_config(path) -> dict:
         mark = getattr(e, "problem_mark", None)
         if mark is None:  # a ReaderError gives no line
             raise ConfigError(f"{path}: not valid YAML: {str(e).splitlines()[0]}") from e
+        # libyaml reads a file without a final line break as if it had one, so its
+        # marks at the end lie a line past the text; the text's last position is
+        # where the pure parser puts them
+        lines = re.split("\r\n|[\r\n\x85\u2028\u2029]", text)
+        end = (len(lines) - 1, len(lines[-1]))
+
+        def at(mark) -> str:
+            line, column = min((mark.line, mark.column), end)
+            return f"{line + 1}:{column + 1}"
+
         problem = e.problem
         if e.context and e.context_mark:
-            problem += f" ({e.context} at {e.context_mark.line + 1}:{e.context_mark.column + 1})"
-        raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: not valid YAML: {problem}") from e
+            problem += f" ({e.context} at {at(e.context_mark)})"
+        raise ConfigError(f"{path}:{at(mark)}: not valid YAML: {problem}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping of sections")
     return doc
@@ -309,7 +327,7 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
     if "name" in doc:
         name = _as_str(doc["name"], "name")
 
-    schedule = _load_graph(doc["graph"], "graph")
+    n_agents, build_schedule = _load_graph(doc["graph"], "graph")
     stepsize = _load_fields(doc["stepsize"], PowerLawStepsize, _STEPSIZE_KEYS, "stepsize")
 
     run_sec = doc["run"]
@@ -340,10 +358,11 @@ def scenario_from_config(doc: dict, name: str = "config") -> Scenario:
 
     with _at("problem"):
         args = {key: load(problem[key], f"problem.{key}") for key, (load, _) in keys.items() if key in problem}
-        # a family the schedule cannot hold is refused before it is built, whatever its size
+        # a family the schedule cannot hold is refused before either is built, whatever their sizes
         for key in ("staircase_agents", "agents"):
-            if args.get(key, schedule.n_agents) != schedule.n_agents:
-                raise ConfigError(f"schedule has {schedule.n_agents} agents, family has {args[key]}", "problem")
+            if args.get(key, n_agents) != n_agents:
+                raise ConfigError(f"schedule has {n_agents} agents, family has {args[key]}", "problem")
+        schedule = build_schedule()
         if "staircase_agents" in args:
             args["sets"] = staircase_boxes(args.pop("staircase_agents"))
         scenario = getattr(scenarios, build)(schedule=schedule, stepsize=stepsize, **args, **run_kwargs)

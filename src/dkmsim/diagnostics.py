@@ -1,4 +1,4 @@
-"""Convergence diagnostics: residuals, block norms, and rate fits.
+"""Convergence diagnostics: residuals, the record table, and rate fits.
 
 Everything here is a pure function of states or of a recorded trace; the
 engine calls these to fill trace rows, and tests call them directly to
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .blocks import BlockPartition, Float, as_point, as_states
-from .errors import DimensionMismatchError, ParameterError
+from .blocks import Float, as_point, as_states
+from .errors import ParameterError
 from .operators import OperatorFamily, _row_norms
 from .stepsize import PowerLawStepsize
 
@@ -29,11 +29,6 @@ def _max_row_norms(rows: NDArray[Float], runs: int = 1) -> list[float]:
     rows *= rows
     squares = np.add.reduce(rows, axis=1).reshape(runs, -1)
     return [math.sqrt(v) for v in np.maximum.reduce(squares, axis=1).tolist()]
-
-
-def mean_state(states) -> NDArray[Float]:
-    """Agent average x_bar = (1/N) sum_i x_i."""
-    return as_states(states).mean(axis=0)
 
 
 def consensus_residual(states) -> float:
@@ -56,53 +51,31 @@ def distance_to_reference(states, reference) -> float:
 
 def record_residuals(
     family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Per-state lists (consensus residual, fixed-point residual at the mean, distance to reference, max_i ||x_i||).
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-state lists (consensus residual, fixed-point residual at the mean, distance to reference).
 
     states is a (K, rows, n) stack; entry j of each list is bit for bit what
-    consensus_residual, fixed_point_residual, distance_to_reference (NaN
-    without a reference) and np.linalg.norm(states[j], axis=1).max() give, but
-    unchecked: every state must be finite, reference None or a finite point.
-    One mean, one stacked row-norm pass and one displacement call cover all K.
+    consensus_residual, fixed_point_residual and distance_to_reference (NaN
+    without a reference) give, but unchecked: every state must be finite,
+    reference None or a finite point. One mean, one stacked row-norm pass
+    and one displacement call cover all K.
     """
     K, rows, n = states.shape
     xbar = np.add.reduce(states, axis=1) / rows
     spread = states - xbar[:, None, :]
-    parts = (spread, states) if reference is None else (spread, states, states - reference)
+    parts = (spread,) if reference is None else (spread, states - reference)
     worst = _max_row_norms(np.concatenate(parts).reshape(-1, n), len(parts) * K)
     tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
     fp = _row_norms(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents).tolist()
-    dist = [math.nan] * K if reference is None else worst[2 * K :]
-    return worst[:K], fp, dist, worst[K : 2 * K]
-
-
-def weighted_block_norm(x, partition: BlockPartition, probabilities) -> float:
-    """Block norm sqrt( sum_l ||x_l||^2 / p_l ) for block probabilities p.
-
-    Sandwiched between the plain norm and norm / sqrt(min p): used to
-    transfer estimates between the block-sampled and full iterations.
-    """
-    x = as_point(x, partition.n)
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.shape != (partition.m,):
-        raise DimensionMismatchError(
-            f"got {p.shape[0] if p.ndim == 1 else p.shape} probabilities for {partition.m} blocks"
-        )
-    if np.any(p <= 0):
-        raise ParameterError("block probabilities must be positive")
-    total = 0.0
-    for l in range(partition.m):
-        xl = x[partition.block_slice(l)]
-        total += float(xl @ xl) / float(p[l])
-    return float(np.sqrt(total))
+    dist = [math.nan] * K if reference is None else worst[K:]
+    return worst[:K], fp, dist
 
 
 # One recorded round, in trace file order. An empty float field is NaN and
 # "no block" is -1: only block-sampled rounds draw one, for the k -> k+1 step.
-# max_state_norm, max_i ||x_i|| for boundedness checks, is not written to trace files.
 RECORD = np.dtype(
     [("k", np.int64), ("alpha_k", np.float64), ("consensus_residual", np.float64), ("fp_residual", np.float64),
-     ("dist_to_ref", np.float64), ("selected_block", np.int64), ("max_state_norm", np.float64)]
+     ("dist_to_ref", np.float64), ("selected_block", np.int64)]
 )
 
 
@@ -116,7 +89,6 @@ class TraceRecord:
     fp_residual: float | None
     dist_to_ref: float | None
     selected_block: int | None
-    max_state_norm: float | None
 
 
 @dataclass
@@ -147,8 +119,8 @@ class Trace:
     def last(self) -> TraceRecord:
         if not len(self.table):
             raise ParameterError("trace has no records")
-        *head, block, top = [None if v != v else v for v in self.table[-1].item()]  # NaN is the only v != v
-        return TraceRecord(*head, None if block < 0 else block, top)
+        *head, block = [None if v != v else v for v in self.table[-1].item()]  # NaN is the only v != v
+        return TraceRecord(*head, None if block < 0 else block)
 
     @property
     def state_shape(self) -> tuple[int, int]:

@@ -114,23 +114,6 @@ def dbkm_step(states, A, family: OperatorFamily, alpha: float, block: int) -> ND
     return out
 
 
-def centralized_km(family: OperatorFamily, x0, stepsize: PowerLawStepsize, rounds: int) -> NDArray[Float]:
-    """Single-point iteration x <- x + alpha_k (F(x) - x) on the global operator.
-
-    Returns the whole trajectory, shape (rounds + 1, n).
-    """
-    x = as_point(x0, family.n)
-    if rounds < 0:
-        raise ParameterError(f"rounds must be nonnegative, got {rounds}")
-    traj = np.empty((rounds + 1, family.n))
-    traj[0] = x
-    for k in range(rounds):
-        alpha = _check_alpha(stepsize.alpha(k))
-        x = x + alpha * family.global_displacement(x)
-        traj[k + 1] = x
-    return traj
-
-
 @dataclass(frozen=True)
 class UniformInit:
     """Draw initial agent states uniformly from [low, high]^n, seeded."""
@@ -423,7 +406,7 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         for start in range(0, len(slots), K):
             residuals = record_residuals(family, win[slots[start : start + K]], config.reference)
             part = out[start : start + K]
-            part["consensus_residual"], part["fp_residual"], part["dist_to_ref"], part["max_state_norm"] = residuals
+            part["consensus_residual"], part["fp_residual"], part["dist_to_ref"] = residuals
         if snapshot_every is not None:
             keep = (out["k"] % snapshot_every == 0) | (out["k"] == max_rounds)
             snapshot_rounds.append(out["k"][keep])

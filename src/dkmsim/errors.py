@@ -1,7 +1,8 @@
 """Typed exceptions raised across the package, and the one way files are read.
 
-Every error carries enough structure for a caller (or the CLI) to report
-what failed without parsing message strings.
+Each error's message names what failed. The errors a caller acts on carry
+more: ConfigError the offending key's path, AssumptionError the failing
+report, DivergenceError the round, agent and partial trace.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ class DkmsimError(Exception):
 class DimensionMismatchError(DkmsimError):
     """A vector, matrix, or partition has an incompatible shape."""
 
-    def __init__(self, message: str, expected=None, got=None):
-        super().__init__(message)
-        self.expected = expected
-        self.got = got
-
 
 class NonFiniteError(DkmsimError):
     """An input contained NaN or infinity."""
@@ -31,8 +27,6 @@ class BlockIndexError(DkmsimError):
 
     def __init__(self, index: int, num_blocks: int):
         super().__init__(f"block index {index} out of range for {num_blocks} blocks")
-        self.index = index
-        self.num_blocks = num_blocks
 
 
 class ParameterError(DkmsimError):

@@ -5,10 +5,10 @@ operator is the agent average F = (1/N) sum_i F_i; when every F_i is
 nonexpansive, so is F. The catalog is closed: the four kinds below are the
 only ones the engine and the config schema accept.
 
-Operators expose both full evaluation and per-block evaluation against a
-shared BlockPartition, plus a displacement form F(x) - x computed without
-cancellation where the kind allows it (gradient steps, affine maps). The
-iteration engine works exclusively with displacements.
+Operators expose full evaluation and a displacement form F(x) - x, whole or
+per block of a shared BlockPartition, computed without cancellation where
+the kind allows it (gradient steps, affine maps). The iteration engine
+works exclusively with displacements.
 
 Each kind's arithmetic is written once, over a stack of agents: a family
 evaluates one stacked group per kind, a single operator a one-member stack.
@@ -57,12 +57,6 @@ class Box:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x: NDArray[Float]) -> NDArray[Float]:
-        return np.clip(x, self.lower, self.upper)
-
-    def contains(self, x: NDArray[Float], tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -82,16 +76,6 @@ class Ball:
     @property
     def n(self) -> int:
         return self.center.shape[0]
-
-    def project(self, x: NDArray[Float]) -> NDArray[Float]:
-        d = x - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / nrm) * d
-
-    def contains(self, x: NDArray[Float], tol: float = 0.0) -> bool:
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
 
 ConvexSet = Box | Ball
@@ -342,10 +326,6 @@ class LocalOperator:
     def displacement(self, x) -> NDArray[Float]:
         """F_i(x) - x, the quantity the iteration engine consumes."""
         return self._stack.displacement(as_point(x, self.n)[None])[0]
-
-    def evaluate_block(self, l: int, x) -> NDArray[Float]:
-        """Block l of F_i(x); agrees bitwise with slicing evaluate(x)."""
-        return self.evaluate(x)[self.partition.block_slice(l)]
 
     def displacement_block(self, l: int, x) -> NDArray[Float]:
         return self.displacement(x)[self.partition.block_slice(l)]

@@ -110,8 +110,8 @@ def oracle_distance_minimizer(
     iteration converges; it stops when successive iterates differ by less
     than tol. This is gradient descent with unit step on the half-mean of
     squared distances, computed without the simulator: each iteration clips
-    x into all boxes at once and projects onto all balls at once, with the
-    arithmetic of Box.project and Ball.project.
+    x into all boxes at once and projects onto all balls at once, taking
+    each ball's norm as np.linalg.norm takes it of one vector.
     """
     if len(sets) == 0:
         raise ParameterError("need at least one set")

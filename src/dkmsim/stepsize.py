@@ -64,10 +64,6 @@ class PowerLawStepsize:
         """alpha_{floor(k/2)}, the lag factor in the coupled sum and rate fits."""
         return self.alpha(k // 2)
 
-    def alphas(self, upto: int) -> np.ndarray:
-        """Vector of alpha_0 .. alpha_{upto-1}, bit-identical to alpha(k)."""
-        return np.array([self.alpha(k) for k in range(upto)])
-
 
 def check_stepsize_conditions(schedule: PowerLawStepsize) -> ValidationReport:
     """Closed-form verdict on conditions (i)-(iii); (i) holds as PowerLawStepsize refuses alpha_0 > 1."""

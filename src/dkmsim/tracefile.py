@@ -3,7 +3,7 @@
 A trace file holds these lines and no others, in this order:
   1. the version line `# dkmsim-trace v1`;
   2. one `# key=value` line per _META key, in _META order;
-  3. the header, RECORD's field names but max_state_norm;
+  3. the header, RECORD's field names;
   4. the data rows, at least 12 significant digits, NaN and no-block -1 empty;
   5. for an aborted run only, `# aborted at k=<k>` as the last line.
 Snapshots go to the companion file snapshot_path_for(path), with header
@@ -23,12 +23,13 @@ from .engine import MODES
 from .errors import ConfigError, DkmsimError, read_text
 from .stepsize import PowerLawStepsize
 
-# the trace file columns; max_state_norm stays out of the file
-COLUMNS = RECORD.names[:-1]
+COLUMNS = RECORD.names
 HEADER = ",".join(COLUMNS)
 SNAPSHOT_HEADER = "k,agent,coord_index,value"
 # the columns that hold norms, which a run never writes negative
 _NORMS = ("consensus_residual", "fp_residual", "dist_to_ref")
+# how far, relatively, an alpha_k cell may lie from the stepsize: .12g rounds by at most 5e-12
+_ALPHA_TOL = 1e-11
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -163,14 +164,17 @@ def _refuse_row(parts: list[str], where: str, last_k: int, max_rounds: int, m: i
     return ConfigError(f"{where}: column selected_block: block {values['selected_block']} is not one of 0..{m - 1}")
 
 
-def _parse_rows(lines: list[str], first: int, path, max_rounds: int, m: int) -> np.ndarray:
-    """The RECORD table of rows, lines[0] being line `first`: empty fields read as NaN and -1, max_state_norm as NaN.
+def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
+    """The RECORD table of rows, lines[0] being line `first`: empty fields read as NaN and -1.
 
     Refuses a row that does not parse, and one that no run writes: a run
     records rounds 0..max_rounds in increasing order, draws blocks 0..m-1,
-    takes stepsizes alpha_k in (0, 1] and writes no negative norm. The
-    value ranges are checked on the parsed table, after every row parsed.
+    takes the metadata's stepsize alpha_k, which lies in (0, 1], and writes
+    no negative norm. The values are checked on the parsed table, after
+    every row parsed; alpha_k within a relative _ALPHA_TOL, as its cell
+    holds 12 significant digits.
     """
+    max_rounds, m, stepsize = fields["max_rounds"], len(fields["block_dims"]), fields["stepsize"]
     rows, last_k = [], -1
     for line_no, line in enumerate(lines, start=first):
         parts = line.split(",")
@@ -186,18 +190,28 @@ def _parse_rows(lines: list[str], first: int, path, max_rounds: int, m: int) -> 
             and (not fp or math.isfinite(row[3])) and (not dist or math.isfinite(row[4]))
         ):
             raise _refuse_row(parts, f"{path}:{line_no}", last_k, max_rounds, m)
-        rows.append((*row, math.nan))
+        rows.append(row)
         last_k = row[0]
     table = np.array(rows, dtype=RECORD)
     alpha = table["alpha_k"]
-    # one row per checked column, True where a row's value is out of range; an empty cell's NaN is in range
-    faults = np.stack([(alpha <= 0) | (alpha > 1), *(table[name] < 0 for name in _NORMS)])
+    expected = stepsize.alpha0 / (table["k"] + float(stepsize.k0)) ** stepsize.gamma
+    # (column, True where a row's value fails the check, why); an empty cell's NaN passes every check
+    checks = [
+        ("alpha_k", (alpha <= 0) | (alpha > 1), "lies outside (0, 1], the stepsizes a run takes"),
+        (
+            "alpha_k",
+            np.abs(alpha - expected) > _ALPHA_TOL * expected,
+            "is not the metadata's stepsize alpha_{k} = {alpha:.12g}",
+        ),
+        *((name, table[name] < 0, "is a negative norm") for name in _NORMS),
+    ]
+    faults = np.stack([fails for _, fails, _ in checks])
     at_fault = faults.any(axis=0)
     if at_fault.any():
         i = int(at_fault.argmax())
-        name = ("alpha_k", *_NORMS)[int(faults[:, i].argmax())]
+        name, _, why = checks[int(faults[:, i].argmax())]
         cell = lines[i].split(",")[COLUMNS.index(name)]
-        why = "lies outside (0, 1], the stepsizes a run takes" if name == "alpha_k" else "is a negative norm"
+        why = why.format(k=table["k"][i], alpha=expected[i])
         raise ConfigError(f"{path}:{first + i}: column {name}: {cell!r} {why}")
     return table
 
@@ -209,8 +223,7 @@ def read_trace(path) -> Trace:
     rows no run could write (see _parse_rows), an abort marker no run writes
     (outside 1..max_rounds, or not past the last row's round), and a
     companion that read_snapshots refuses or that holds a round the trace
-    did not record. The table's max_state_norm column is NaN: the CSV does
-    not store it.
+    did not record.
     """
     lines = read_text(path, "trace file").splitlines()
     # the header is the first line that is not a comment; the prologue is every line before it
@@ -229,7 +242,7 @@ def read_trace(path) -> Trace:
             aborted_at = int(marker.removeprefix("# aborted at k="))
         except ValueError as e:
             raise ConfigError(f"{path}:{abort_line}: abort marker {marker!r} has no round number") from e
-    table = _parse_rows(rows, header + 2, path, fields["max_rounds"], len(fields["block_dims"]))
+    table = _parse_rows(rows, header + 2, path, fields)
     if aborted_at is not None:
         # a run aborted at k = A diverged in round A - 1 and recorded rounds below A only
         if not 1 <= aborted_at <= fields["max_rounds"]:

@@ -6,12 +6,16 @@ written out from their definitions, reachability from a dense
 boolean closure, series verdicts from dyadic block sums, spectral norms
 from power iteration, and maxima from brute-force grids. The sampled
 checks and the distance oracle, which the library evaluates on stacked
-arrays, are redone here one pair, point or set at a time.
+arrays, are redone here one pair, point or set at a time, and the
+centralized iteration one global step at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from dkmsim import Box
+from dkmsim.errors import DimensionMismatchError, ParameterError
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -157,13 +161,53 @@ def sampled_check_lines(family, num_pairs, seed, tol=1e-12):
     return lines
 
 
+def project(s, x):
+    """Euclidean projection of the point x onto one Box or Ball."""
+    if isinstance(s, Box):
+        return np.clip(x, s.lower, s.upper)
+    d = x - s.center
+    nrm = float(np.linalg.norm(d))
+    if nrm <= s.radius:
+        return x.copy()
+    return s.center + (s.radius / nrm) * d
+
+
 def mean_projection_fixed_point(sets, tol=1e-12, max_iters=10_000_000):
-    """The mean-projection iteration, one set's project() at a time."""
-    centers = [0.5 * (s.lower + s.upper) if hasattr(s, "lower") else s.center for s in sets]
+    """The mean-projection iteration, one set's projection at a time."""
+    centers = [0.5 * (s.lower + s.upper) if isinstance(s, Box) else s.center for s in sets]
     x = np.mean(centers, axis=0)
     for _ in range(max_iters):
-        nxt = np.mean([s.project(x) for s in sets], axis=0)
+        nxt = np.mean([project(s, x) for s in sets], axis=0)
         if float(np.linalg.norm(nxt - x)) < tol:
             return nxt
         x = nxt
     raise RuntimeError("mean-projection iteration did not settle")
+
+
+def centralized_km(family, x0, stepsize, rounds):
+    """Trajectory, shape (rounds + 1, n), of x <- x + alpha_k (F(x) - x) on the global operator."""
+    x = np.asarray(x0, dtype=float)
+    traj = np.empty((rounds + 1, family.n))
+    traj[0] = x
+    for k in range(rounds):
+        x = x + stepsize.alpha(k) * family.global_displacement(x)
+        traj[k + 1] = x
+    return traj
+
+
+def weighted_block_norm(x, partition, probabilities):
+    """Block norm sqrt( sum_l ||x_l||^2 / p_l ) for block probabilities p.
+
+    Sandwiched between the plain norm and norm / sqrt(min p): it transfers
+    estimates between the block-sampled and full iterations.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.shape != (partition.m,):
+        raise DimensionMismatchError(f"got {p.shape} probabilities for {partition.m} blocks")
+    if np.any(p <= 0):
+        raise ParameterError("block probabilities must be positive")
+    total = 0.0
+    for l in range(partition.m):
+        xl = x[partition.block_slice(l)]
+        total += float(xl @ xl) / float(p[l])
+    return float(np.sqrt(total))

@@ -41,19 +41,6 @@ def test_block_index_out_of_range():
         part.block_slice(-1)
 
 
-def test_split_views_reassemble():
-    rng = np.random.default_rng(0)
-    for dims in [(1,), (3,), (1, 1, 1), (2, 3), (4, 1, 2)]:
-        part = BlockPartition(dims)
-        x = rng.standard_normal(part.n)
-        pieces = part.split(x)
-        assert [p.shape[0] for p in pieces] == list(dims)
-        assert np.array_equal(np.concatenate(pieces), x)
-        # pieces are views, not copies
-        pieces[0][0] = 99.0
-        assert x[0] == 99.0
-
-
 def test_partition_equality_and_hash():
     assert BlockPartition((1, 2)) == BlockPartition([1, 2])
     assert BlockPartition((1, 2)) != BlockPartition((2, 1))

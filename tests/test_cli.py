@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output text, and written files."""
 
+import argparse
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -198,6 +200,26 @@ def test_family_larger_than_the_graph_refused(capsys, tmp_path):
     assert err.splitlines() == ["config error: problem: schedule has 6 agents, family has 8"]
 
 
+def test_ring_larger_than_the_family_is_refused_before_it_is_built(capsys, tmp_path):
+    # 2000 x 2000 ring matrices would take tens of MiB; the refusal comes first
+    doc = {
+        "problem": {"kind": "consensus", "agents": 6, "dimension": 2},
+        "graph": {"ring": {"agents": 2000, "period": 1}},
+        "stepsize": {},
+        "run": {"max_rounds": 10},
+    }
+    save_config(doc, tmp_path / "ring.yaml")
+    tracemalloc.start()
+    try:
+        code, out, err = cli(capsys, "run", str(tmp_path / "ring.yaml"), "--output", str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == ["config error: problem: schedule has 2000 agents, family has 6"]
+    assert peak < 4 * 2**20
+
+
 def test_run_validates_overrides_on_config_file(capsys, consensus_file, tmp_path):
     code, _, err = cli(capsys, "run", str(consensus_file), "--seed", "-1")
     assert code == EXIT_VALIDATION
@@ -376,8 +398,33 @@ def test_invalid_yaml_is_one_line(capsys, tmp_path):
     code, out, err = cli(capsys, "run", str(path))
     assert (code, out) == (EXIT_PARSE, "")
     assert len(err.splitlines()) == 1
-    # the line and column differ between libyaml and the pure parser: both mark the end of the file
-    assert re.fullmatch(rf"config error: {re.escape(str(path))}:[23]:\d+: not valid YAML: .*'\]'.*\n", err)
+    # libyaml and the pure parser both mark the end of the file, its line 2, column 7
+    assert re.fullmatch(rf"config error: {re.escape(str(path))}:2:7: not valid YAML: .*'\]'.*\n", err)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "dkmsim":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    dkmsim.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli(capsys, "oracle", "paper-dkm-6")[0] == EXIT_OK
+    assert len(built) == 1
+
+
+def test_main_runs_a_handler_replaced_after_its_first_call(capsys, monkeypatch, tmp_path):
+    # a wrapper installed on the module, as a tracer installs one, is the handler the cached parser leads to
+    assert cli(capsys, "compare", str(tmp_path / "none.csv"))[0] == EXIT_PARSE
+    calls = []
+    monkeypatch.setattr(dkmsim.cli, "cmd_compare", lambda args: calls.append(args.trace) or EXIT_OK)
+    assert cli(capsys, "compare", "t.csv")[0] == EXIT_OK
+    assert calls == ["t.csv"]
 
 
 def test_run_unknown_key(capsys, tmp_path):
@@ -620,6 +667,16 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_last_row(1, "-7"), "{trace}:112: column alpha_k: '-7' lies outside (0, 1], the stepsizes a run takes"),
         ((), _set_last_row(1, "0"), "{trace}:112: column alpha_k: '0' lies outside (0, 1], the stepsizes a run takes"),
         ((), _set_last_row(1, "1.5"), "{trace}:112: column alpha_k: '1.5' lies outside (0, 1], the stepsizes a run takes"),
+        (
+            (),
+            _set_last_row(1, "0.5"),
+            "{trace}:112: column alpha_k: '0.5' is not the metadata's stepsize alpha_100 = 0.0395343896503",
+        ),
+        (
+            (),
+            _set_last_row(1, "0.0395343897"),
+            "{trace}:112: column alpha_k: '0.0395343897' is not the metadata's stepsize alpha_100 = 0.0395343896503",
+        ),
     ],
     ids=[
         "reference-length",
@@ -653,6 +710,8 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "negative-alpha",
         "zero-alpha",
         "alpha-above-one",
+        "alpha-off-the-stepsize",
+        "alpha-off-the-stepsize-in-the-tenth-digit",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):

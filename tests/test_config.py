@@ -78,6 +78,27 @@ def test_invalid_yaml_names_line_and_column(tmp_path):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("classes", ["module", "pure"])
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("problem: [unclosed\n  nope", "2:7"),
+        ("problem: [unclosed\n  nope\n", "3:1"),
+        ('a: "abc', "1:8"),
+    ],
+    ids=["no-final-newline", "final-newline", "open-quote"],
+)
+def test_yaml_error_at_the_end_of_the_file_names_its_last_position(monkeypatch, tmp_path, classes, text, where):
+    # libyaml reads a file without a final newline as if it had one; the error still names the text's end
+    if classes == "pure":
+        monkeypatch.setattr(config, "_LOADER", PURE[0])
+    p = tmp_path / "bad.yaml"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(f"{p}:{where}: not valid YAML: ")
+
+
 def test_unreadable_character_is_one_line(tmp_path):
     # a reader error marks no line; its first line names the character
     p = tmp_path / "bell.yaml"
@@ -164,12 +185,13 @@ def test_staircase_shortcut_builds_six_boxes():
     ids=["staircase", "consensus"],
 )
 def test_agent_count_is_checked_before_the_family_is_built(monkeypatch, problem):
-    # a count the graph cannot hold is refused before a family of that size is built
+    # a count the graph cannot hold is refused before a family of that size, or the ring's N x N matrices, is built
     def build(*args, **kwargs):
-        raise AssertionError("built a family before checking its agent count")
+        raise AssertionError("built a family or a ring before checking its agent count")
 
     monkeypatch.setattr("dkmsim.config.staircase_boxes", build)
     monkeypatch.setattr("dkmsim.scenarios.build_consensus_scenario", build)
+    monkeypatch.setattr("dkmsim.config.ring_schedule", build)
     doc = {"problem": problem, "graph": {"ring": {"agents": 6, "period": 2}}, "stepsize": {}, "run": {"max_rounds": 10}}
     with pytest.raises(ConfigError, match=r"^problem: schedule has 6 agents, family has 7$"):
         scenario_from_config(doc)

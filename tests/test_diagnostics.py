@@ -21,18 +21,11 @@ from dkmsim import (
     distance_to_reference,
     fit_consensus_rate,
     fixed_point_residual,
-    mean_state,
-    weighted_block_norm,
 )
 from dkmsim.diagnostics import RECORD, record_residuals
 from dkmsim.errors import DimensionMismatchError, ParameterError
 
-
-def test_mean_state_cases():
-    assert np.array_equal(mean_state([[1.0, 2.0]]), [1.0, 2.0])
-    assert np.array_equal(mean_state([[0.0, 0.0], [2.0, 4.0]]), [1.0, 2.0])
-    v = np.array([3.0, -1.0])
-    assert np.array_equal(mean_state(np.tile(v, (4, 1))), v)
+from oracles import weighted_block_norm
 
 
 def test_consensus_residual_cases():
@@ -113,13 +106,12 @@ def test_record_residuals_equal_the_public_diagnostics(kind):
         for rows in (family.n_agents, 1):
             states = (rng.standard_normal((9, rows, 4)) + rng.standard_normal(4)) * scale
             for ref in (None, reference):
-                consensus, fp, dist, top = record_residuals(family, states, ref)
-                assert len(consensus) == len(fp) == len(dist) == len(top) == len(states)
+                consensus, fp, dist = record_residuals(family, states, ref)
+                assert len(consensus) == len(fp) == len(dist) == len(states)
                 for j, x in enumerate(states):
                     assert consensus[j] == consensus_residual(x)
                     assert fp[j] == fixed_point_residual(family, x.mean(axis=0))
                     assert np.isnan(dist[j]) if ref is None else dist[j] == distance_to_reference(x, ref)
-                    assert top[j] == np.linalg.norm(x, axis=1).max()
 
 
 def test_weighted_block_norm_cases():
@@ -158,7 +150,7 @@ def test_block_norm_sandwich():
 
 
 def make_trace(ks, residuals, stepsize, max_rounds):
-    table = np.array([(k, stepsize.alpha(k), r, np.nan, np.nan, -1, 1.0) for k, r in zip(ks, residuals)], dtype=RECORD)
+    table = np.array([(k, stepsize.alpha(k), r, np.nan, np.nan, -1) for k, r in zip(ks, residuals)], dtype=RECORD)
     return Trace(
         mode="dkm",
         n_agents=2,
@@ -200,7 +192,7 @@ def test_trace_column_and_last():
     assert trace.table["k"].tolist() == [0, 1]
     assert trace.table["consensus_residual"].tolist() == [0.5, 0.25]
     # NaN and the no-block -1 read back as None
-    assert trace.last() == TraceRecord(1, ss.alpha(1), 0.25, None, None, None, 1.0)
+    assert trace.last() == TraceRecord(1, ss.alpha(1), 0.25, None, None, None)
     assert trace.snapshot_rounds.shape == (0,) and trace.snapshots.shape == (0, 2, 1)
     empty = make_trace([], [], ss, 2)
     with pytest.raises(ParameterError):

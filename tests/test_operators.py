@@ -32,6 +32,7 @@ from oracles import (
     pairwise_nonexpansive,
     pointwise_displacement_bound,
     power_iteration_norm,
+    project,
     quadratic_value,
     violation_lines,
 )
@@ -51,9 +52,10 @@ def ulps_apart(a, b):
 
 def test_box_projection_and_membership():
     box = Box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(box.project(np.array([2.0, 0.5])), [1.0, 0.5])
-    assert box.contains(np.array([0.5, 0.0]))
-    assert not box.contains(np.array([1.5, 0.0]))
+    assert np.array_equal(project(box, np.array([2.0, 0.5])), [1.0, 0.5])
+    # a member is its own projection, and nothing else is
+    assert np.array_equal(project(box, np.array([0.5, 0.0])), [0.5, 0.0])
+    assert not np.array_equal(project(box, np.array([1.5, 0.0])), [1.5, 0.0])
 
 
 def test_box_rejects_crossed_bounds():
@@ -64,8 +66,8 @@ def test_box_rejects_crossed_bounds():
 def test_ball_projection():
     ball = Ball(np.zeros(2), 1.0)
     inside = np.array([0.3, 0.4])
-    assert np.array_equal(ball.project(inside), inside)
-    projected = ball.project(np.array([3.0, 4.0]))
+    assert np.array_equal(project(ball, inside), inside)
+    projected = project(ball, np.array([3.0, 4.0]))
     assert np.allclose(projected, [0.6, 0.8])
     assert np.isclose(np.linalg.norm(projected), 1.0)
 
@@ -151,22 +153,27 @@ def test_gradient_step_hand_example():
 
 
 # ---------------------------------------------------------------------------
-# per-block evaluation
+# per-block evaluation, frozen on hand examples whose sums are exact
+
+
+def block_image(op, l, x):
+    """Block l of F(x), as x_l plus the block's displacement."""
+    return x[op.partition.block_slice(l)] + op.displacement_block(l, x)
 
 
 def test_identity_block_evaluation():
     op = Identity(BlockPartition((2, 1)))
-    assert np.array_equal(op.evaluate_block(0, np.array([1.0, 2.0, 3.0])), [1.0, 2.0])
+    assert np.array_equal(block_image(op, 0, np.array([1.0, 2.0, 3.0])), [1.0, 2.0])
 
 
 def test_box_clamp_block_evaluation():
     op = Projection(BlockPartition((1, 1, 1)), Box(np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0])))
-    assert np.array_equal(op.evaluate_block(2, np.array([0.0, 0.5, 3.0])), [1.0])
+    assert np.array_equal(block_image(op, 2, np.array([0.0, 0.5, 3.0])), [1.0])
 
 
 def test_affine_block_evaluation():
     op = Affine(BlockPartition((1, 1)), 2.0 * np.eye(2), np.array([2.0, 4.0]), theta=0.5)
-    assert np.allclose(op.evaluate_block(1, np.zeros(2)), [2.0], atol=1e-15)
+    assert np.allclose(block_image(op, 1, np.zeros(2)), [2.0], atol=1e-15)
 
 
 def sample_catalog(partition):
@@ -192,11 +199,9 @@ def test_block_evaluation_matches_full_slices():
     for op in sample_catalog(partition):
         for _ in range(20):
             x = rng.uniform(-5, 5, partition.n)
-            full = op.evaluate(x)
             disp = op.displacement(x)
             for l in range(partition.m):
                 sl = partition.block_slice(l)
-                assert ulps_apart(op.evaluate_block(l, x), full[sl]) <= 1
                 assert ulps_apart(op.displacement_block(l, x), disp[sl]) <= 1
 
 
@@ -448,13 +453,6 @@ def stacked_kind_cases():
         R = G.T @ G + 0.1 * np.eye(n)
         affines.append(Affine(part, R, rng.standard_normal(n), theta=2.0 / float(np.linalg.eigvalsh(R)[-1])))
 
-    def project_ball(op, x):
-        # scalar norm; the stacked kind takes the same dot product per row, so
-        # this is exact, where np.linalg.norm(d, axis=1) is off by up to 2 ulps
-        c, r = op.target_set.center, op.target_set.radius
-        nrm = np.linalg.norm(x - c)
-        return x.copy() if nrm <= r else c + (r / nrm) * (x - c)
-
     def quad_step(op, x):
         A, b = op.objective.matrix, op.objective.target
         return -op.tau * (A.T @ (A @ x - b))
@@ -467,13 +465,15 @@ def stacked_kind_cases():
         # the family's einsum; a matrix-vector R @ x can differ in the last ulp
         return op.theta * (op.offset - np.einsum("jk,k->j", op.matrix, x))
 
-    def clip_box(op, x):
-        return np.clip(x, op.target_set.lower, op.target_set.upper)
+    def project_set(op, x):
+        # a ball's scalar norm: the stacked kind takes the same dot product per
+        # row, so this is exact, where np.linalg.norm(d, axis=1) is off by up to 2 ulps
+        return project(op.target_set, x)
 
     return part, {
         "identity": ([Identity(part) for _ in range(3)], lambda op, x: np.zeros(n), lambda op, x: x),
-        "box": (boxes, lambda op, x: clip_box(op, x) - x, clip_box),
-        "ball": (balls, lambda op, x: project_ball(op, x) - x, project_ball),
+        "box": (boxes, lambda op, x: project_set(op, x) - x, project_set),
+        "ball": (balls, lambda op, x: project_set(op, x) - x, project_set),
         "quadratic": (quads, quad_step, lambda op, x: x + quad_step(op, x)),
         "huber": (hubers, huber_step, lambda op, x: x + huber_step(op, x)),
         "affine": (affines, affine_step, lambda op, x: x + affine_step(op, x)),
