@@ -12,11 +12,13 @@ The per-round update for agent i is
     x_i^{k+1} = x_hat_i + alpha_k d_i        (local step)
 
 where d_i is F_i(x_hat_i) - x_hat_i in full mode, and its drawn block
-(zeros elsewhere) in block-sampled mode.
+(zeros elsewhere) in block-sampled mode. _LOCAL_STEPS holds each mode's
+local step, once: run() calls it unchecked, dkm_step / dbkm_step checked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +81,9 @@ class BlockSelector:
     def uniform(cls, m: int) -> "BlockSelector":
         return cls(tuple(1.0 / m for _ in range(m)))
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
         m = self.num_blocks
-        return all(abs(p - 1.0 / m) <= tol for p in self.probabilities)
+        return all(abs(p - 1.0 / m) <= 1e-12 for p in self.probabilities)
 
 
 def draw_block(selector: BlockSelector, rng: np.random.Generator) -> int:
@@ -97,21 +99,38 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+# Each mode's local step x_hat += alpha_k d, in place and unchecked, on the mixed states; block is the
+# round's draw, read in dbkm mode only. Centralized mode's (1, n) x is repeated over the family's N rows.
+def _full_step(xhat: NDArray[Float], family: OperatorFamily, alpha: float, block: int = -1) -> None:
+    xhat += alpha * family.displacement_all(xhat)
+
+
+def _block_step(xhat: NDArray[Float], family: OperatorFamily, alpha: float, block: int) -> None:
+    sub = xhat[:, family.partition.block_slice(block)]
+    sub += alpha * family.displacement_block_all(block, xhat)
+
+
+def _centralized_step(x: NDArray[Float], family: OperatorFamily, alpha: float, block: int) -> None:
+    x += alpha * family.mean_displacement(np.repeat(x, family.n_agents, axis=0))
+
+
+_LOCAL_STEPS = {"dkm": _full_step, "dbkm": _block_step, "centralized": _centralized_step}
+
+
 def dkm_step(states, A, family: OperatorFamily, alpha: float) -> NDArray[Float]:
     """One full round: mix, then move every coordinate toward F_i(x_hat_i)."""
     alpha = _check_alpha(alpha)
     xhat = mix(A, states)
-    return xhat + alpha * family.displacement_all(xhat)
+    _full_step(xhat, family, alpha)
+    return xhat
 
 
 def dbkm_step(states, A, family: OperatorFamily, alpha: float, block: int) -> NDArray[Float]:
     """One block-sampled round: mix, then update only the drawn block."""
     alpha = _check_alpha(alpha)
     xhat = mix(A, states)
-    sl = family.partition.block_slice(block)
-    out = xhat.copy()
-    out[:, sl] = xhat[:, sl] + alpha * family.displacement_block_all(block, xhat)
-    return out
+    _block_step(xhat, family, alpha, block)
+    return xhat
 
 
 @dataclass(frozen=True)
@@ -300,9 +319,9 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     its k column from record_rounds, or ParameterError names its size. Rounds
     run in windows of G = max(2, WINDOW_FLOATS // (rows * n)); a window's
     alpha_k and block uniforms (the stream of one draw_block per round) are
-    taken before its rounds, which do the arithmetic of dkm_step / dbkm_step
-    without their checks. The guard checks a whole window and names the first
-    round, agent and coordinate past the limit, as a per-round check would.
+    taken before its rounds: each a mix (centralized: a copy), then the local
+    step. The guard checks a whole window and names the first round, agent
+    and coordinate past the limit, as a per-round check would.
     The window's rows, up to that round, take their states from the window in
     unchecked record_residuals passes of at most K = max(2, RECORD_FLOATS //
     (rows * n)), bit for bit those taken singly.
@@ -353,41 +372,27 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         )
 
     mode = config.mode
+    step = _LOCAL_STEPS[mode]
     alpha_at = config.stepsize.alpha
     limit = config.divergence_limit
-    if mode != "centralized":
-        mats, period = config.schedule.matrices, config.schedule.period
-    else:
-        tile = np.empty((family.n_agents, family.n))
+    mats, period = (config.schedule.matrices, config.schedule.period) if mode != "centralized" else (None, 1)
     # blocks[j] is the block of the window's round k0 + j, -1 outside block-sampled mode and after the final round
     blocks = np.full(G + 1, -1)
-    if mode == "dbkm":
-        cumulative = config.selector._cumulative
-        slices = [family.partition.block_slice(l) for l in range(family.partition.m)]
+    drawn = itertools.repeat(-1)  # the steps' block arguments; block-sampled mode lists each window's blocks
     win[0] = states
     for k0 in range(0, max_rounds, G):
         k1 = min(k0 + G, max_rounds)
         last = k1 == max_rounds
         alphas = [alpha_at(k) for k in range(k0, k1 + last)]
         if mode == "dbkm":
-            blocks[: k1 - k0] = np.searchsorted(cumulative, rng.random(k1 - k0), side="right")
+            blocks[: k1 - k0] = np.searchsorted(config.selector._cumulative, rng.random(k1 - k0), side="right")
             blocks[k1 - k0] = -1
             drawn = blocks.tolist()
         # rounds after a diverging one still run to the window's end; their arithmetic may overflow
         with np.errstate(all="ignore"):
-            for j, k in enumerate(range(k0, k1), 1):
-                alpha = alphas[j - 1]
-                if mode == "dkm":
-                    new = mats[k % period] @ states
-                    new += alpha * family.displacement_all(new)
-                elif mode == "dbkm":
-                    block = drawn[j - 1]
-                    new = mats[k % period] @ states
-                    sub = new[:, slices[block]]
-                    sub += alpha * family.displacement_block_all(block, new)
-                else:
-                    tile[:] = states
-                    new = states + alpha * family.mean_displacement(tile)
+            for j, (k, alpha, block) in enumerate(zip(range(k0, k1), alphas, drawn), 1):
+                new = states.copy() if mats is None else mats[k % period] @ states
+                step(new, family, alpha, block)
                 win[j] = states = new
         done = win[1 : k1 - k0 + 1]
         # NaN fails both comparisons

@@ -60,23 +60,22 @@ def check_trace_path(path) -> None:
         Path(path).unlink()
 
 
-# metadata key -> (Trace field, parser of its text, its text in a trace); alpha0,
-# gamma and k0 build the stepsize
+# metadata key -> (field of the Trace or, for alpha0, gamma and k0, of its stepsize; parser of its text;
+# its text in a trace). A value has that one text, and read_trace takes no other spelling.
 _META = {
-    "mode": ("mode", str, lambda trace: trace.mode),
-    "agents": ("n_agents", int, lambda trace: str(trace.n_agents)),
-    "dimension": ("n", int, lambda trace: str(trace.n)),
-    "blocks": (
-        "block_dims",
-        lambda text: tuple(int(d) for d in text.split(",")),
-        lambda trace: ",".join(str(d) for d in trace.block_dims),
-    ),
-    "seed": ("seed", int, lambda trace: str(trace.seed)),
-    "max_rounds": ("max_rounds", int, lambda trace: str(trace.max_rounds)),
-    "alpha0": ("alpha0", float, lambda trace: repr(trace.stepsize.alpha0)),
-    "gamma": ("gamma", float, lambda trace: repr(trace.stepsize.gamma)),
-    "k0": ("k0", int, lambda trace: str(trace.stepsize.k0)),
+    "mode": ("mode", str, str),
+    "agents": ("n_agents", int, str),
+    "dimension": ("n", int, str),
+    "blocks": ("block_dims", lambda text: tuple(int(d) for d in text.split(",")), lambda dims: ",".join(map(str, dims))),
+    "seed": ("seed", int, str),
+    "max_rounds": ("max_rounds", int, str),
+    "alpha0": ("alpha0", float, lambda value: repr(float(value))),
+    "gamma": ("gamma", float, lambda value: repr(float(value))),
+    "k0": ("k0", int, str),
 }
+# the last round an int64 k column holds, and the most floats numpy can shape into one float64 array
+_MAX_ROUND = 2**63 - 1
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -84,7 +83,8 @@ def write_trace(trace: Trace, path) -> None:
 
     Without snapshots, a companion left at that path by an earlier run is removed.
     """
-    lines = ["# dkmsim-trace v1", *(f"# {key}={show(trace)}" for key, (_, _, show) in _META.items()), HEADER]
+    values = {**vars(trace), **vars(trace.stepsize)}
+    lines = ["# dkmsim-trace v1", *(f"# {key}={show(values[name])}" for key, (name, _, show) in _META.items()), HEADER]
     lines += map(",".join, zip(*(_cells(trace.table[name]) for name in COLUMNS)))
     if trace.aborted_at is not None:
         lines.append(f"# aborted at k={trace.aborted_at}")
@@ -107,7 +107,11 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def _parse_meta(prologue: list[str], path) -> dict:
-    """Trace fields from the prologue's lines: `# key=value` for each _META key, in _META order, each must parse."""
+    """Trace fields from the prologue's lines: `# key=value` for each _META key, in _META order.
+
+    Each value must parse, lie within the bounds of a run that writes a trace
+    (the seed has no upper bound), and be its own text in a trace.
+    """
     meta, due = {}, list(_META)
     for line_no, line in enumerate(prologue, start=2):
         key, eq, value = line[2:].partition("=")
@@ -124,12 +128,23 @@ def _parse_meta(prologue: list[str], path) -> dict:
             fields[name] = parse(meta[key])
         except ValueError as e:
             raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} does not parse: {e}") from e
+    parsed = dict(fields)
     if fields["mode"] not in MODES:
         raise ConfigError(f"{path}: trace metadata mode={fields['mode']!r} is not one of {MODES}")
     # the bounds RunConfig and BlockPartition put on every run that writes a trace
     for key, low in (("agents", 1), ("dimension", 1), ("seed", 0), ("max_rounds", 1)):
         if fields[_META[key][0]] < low:
             raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} is below {low}")
+    if fields["max_rounds"] > _MAX_ROUND:
+        raise ConfigError(
+            f"{path}: trace metadata max_rounds={meta['max_rounds']!r} is past {_MAX_ROUND}, the last round a table holds"
+        )
+    # a run of any mode evaluates its N operators on an (N, n) array
+    if fields["n_agents"] * fields["n"] > _MAX_FLOATS:
+        raise ConfigError(
+            f"{path}: trace metadata agents={meta['agents']!r} and dimension={meta['dimension']!r}"
+            f" give states of more floats than numpy can shape, {_MAX_FLOATS}"
+        )
     if min(fields["block_dims"]) < 1 or sum(fields["block_dims"]) != fields["n"]:
         raise ConfigError(
             f"{path}: trace metadata blocks={meta['blocks']!r}"
@@ -139,6 +154,9 @@ def _parse_meta(prologue: list[str], path) -> dict:
         fields["stepsize"] = PowerLawStepsize(fields.pop("alpha0"), fields.pop("gamma"), fields.pop("k0"))
     except DkmsimError as e:
         raise ConfigError(f"{path}: trace metadata: {e}") from e
+    for key, (name, _, show) in _META.items():
+        if (text := show(parsed[name])) != meta[key]:
+            raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} is not the text a trace writes for it, {text!r}")
     return fields
 
 

@@ -653,6 +653,22 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_meta("k0", "0"), "{trace}: trace metadata: k0 must be an integer >= 1, got 0"),
         ((), _set_meta("gamma", None), "{trace}: trace metadata lacks gamma"),
         ((), _set_meta("mode", "warp"), "{trace}: trace metadata mode='warp' is not one of"),
+        (
+            (),
+            lambda files: (_set_meta("max_rounds", "9" * 20)(files), _set_last_row(0, "9" * 19 + "8")(files)),
+            "{trace}: trace metadata max_rounds='99999999999999999999' is past 9223372036854775807",
+        ),
+        ((), _set_meta("agents", "9" * 20), "{trace}: trace metadata agents='99999999999999999999' and dimension='3'"),
+        (
+            (),
+            lambda files: (_set_meta("dimension", str(2**63 - 1))(files), _set_meta("blocks", str(2**63 - 1))(files)),
+            "{trace}: trace metadata agents='6' and dimension='9223372036854775807' give states of more floats",
+        ),
+        ((), _set_meta("max_rounds", "1_00"), "{trace}: trace metadata max_rounds='1_00' is not the text a trace writes"),
+        ((), _set_meta("agents", " 6 "), "{trace}: trace metadata agents=' 6 ' is not the text a trace writes"),
+        ((), _set_meta("seed", "+0"), "{trace}: trace metadata seed='+0' is not the text a trace writes for it, '0'"),
+        ((), _set_meta("alpha0", "1"), "{trace}: trace metadata alpha0='1' is not the text a trace writes for it, '1.0'"),
+        ((), _set_meta("gamma", "0.70"), "{trace}: trace metadata gamma='0.70' is not the text a trace writes"),
         (("--tail-start", "-5"), None, "--tail-start must be >= 0, got -5"),
         ((), _set_last_row(0, "500"), "{trace}:112: round 500 lies outside 0..100"),
         ((), _set_last_row(5, "1"), "{trace}:112: column selected_block: block 1 is not one of 0..0"),
@@ -696,6 +712,14 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "zero-k0",
         "missing-gamma",
         "unknown-mode",
+        "max-rounds-past-int64",
+        "agents-past-numpy",
+        "dimension-past-numpy",
+        "max-rounds-with-underscore",
+        "agents-with-spaces",
+        "seed-with-sign",
+        "alpha0-as-integer",
+        "gamma-with-trailing-zero",
         "negative-tail-start",
         "round-past-max-rounds",
         "block-past-the-partition",

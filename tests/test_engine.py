@@ -12,6 +12,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkmsim import (
     Affine,
@@ -166,6 +168,20 @@ def test_dkm_step_alpha_guard():
         dkm_step(np.zeros((1, 1)), np.eye(1), family, alpha=0.0)
     with pytest.raises(ParameterError):
         dkm_step(np.zeros((1, 1)), np.eye(1), family, alpha=1.5)
+
+
+@pytest.mark.parametrize("block", [None, 0, 1, 2], ids=["dkm", "block-0", "block-1", "block-2"])
+def test_checked_steps_leave_their_arguments_unchanged(block):
+    # the local step writes the mixed states in place; read-only inputs make a write to them raise
+    family = mixed_family()
+    states = np.random.default_rng(5).uniform(-3, 3, (4, 4))
+    A = ring_schedule(4, 2, 0.5).at(1)
+    before = (states.copy(), A.copy())
+    for arr in (states, A):
+        arr.flags.writeable = False
+    out = dkm_step(states, A, family, 0.6) if block is None else dbkm_step(states, A, family, 0.6, block)
+    assert not np.shares_memory(out, states) and not np.shares_memory(out, A)
+    assert np.array_equal(states, before[0]) and np.array_equal(A, before[1])
 
 
 def test_dbkm_step_single_block_equals_full_step():
@@ -794,6 +810,74 @@ def test_run_equals_checked_steps(mode, rounds, record_every):
         record_every=record_every,
         snapshot_every=1,
         **KERNEL_MODES[mode],
+    )
+    expected, final, aborted = reference_run(config)
+    assert aborted is None
+    trace = run(config)
+    assert np.array_equal(trace.final_states, final)
+    assert_records_match(trace, expected)
+
+
+def random_family(n_agents, dims, kinds, seed):
+    """A family of the named kinds, agent i of kinds[i], on BlockPartition(dims); parameters from default_rng(seed)."""
+    part = BlockPartition(tuple(dims))
+    n, rng = part.n, np.random.default_rng(seed)
+
+    def quadratic_step():
+        f = Quadratic(rng.standard_normal((n, n)), rng.standard_normal(n))
+        return GradientStep(part, f, tau=1.0 / f.lipschitz_L)
+
+    def affine():
+        M = rng.standard_normal((n, n))
+        R = M @ M.T
+        return Affine(part, R, rng.standard_normal(n), theta=1.0 / np.linalg.eigvalsh(R)[-1])
+
+    make = {
+        "identity": lambda: Identity(part),
+        "box": lambda: Projection(part, Box(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))),
+        "ball": lambda: Projection(part, Ball(rng.standard_normal(n), rng.uniform(0.5, 2.0))),
+        "huber": lambda: GradientStep(part, Huber(rng.standard_normal(n), rng.uniform(0.5, 2.0)), tau=0.5),
+        "quadratic": quadratic_step,
+        "affine": affine,
+    }
+    return OperatorFamily([make[kind]() for kind in kinds[:n_agents]])
+
+
+RANDOM_KINDS = ("identity", "box", "ball", "huber", "quadratic", "affine")
+
+
+# about 4 s in all: a centralized run of a 2-coordinate family near G takes 8k rounds of the checked loop
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    n_agents=st.integers(2, 5),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda dims: sum(dims) >= 2),
+    kinds=st.lists(st.sampled_from(RANDOM_KINDS), min_size=5, max_size=5),
+    period=st.integers(1, 3),
+    weight=st.sampled_from([0.25, 0.5, 0.75]),
+    block_weights=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    record_every=st.sampled_from([None, 1, 2, 7]),
+    near=st.sampled_from(["K", "G"]),
+    offset=st.integers(-2, 2),
+)
+def test_run_equals_checked_steps_on_random_families(
+    mode, n_agents, dims, kinds, period, weight, block_weights, seed, record_every, near, offset
+):
+    family = random_family(n_agents, dims, kinds, seed)
+    m = family.partition.m
+    selector = BlockSelector(tuple(w / sum(block_weights[:m]) for w in block_weights[:m]))
+    per_pass, per_window = records_per_pass(mode, family), rounds_per_window(mode, family)
+    config = RunConfig(
+        family=family,
+        stepsize=STEP,
+        schedule=ring_schedule(n_agents, min(period, n_agents), weight),
+        mode=mode,
+        selector=selector if mode == "dbkm" else None,
+        max_rounds=max(1, (per_pass if near == "K" else per_window) + offset),
+        seed=seed,
+        record_every=record_every,
+        snapshot_every=1,
     )
     expected, final, aborted = reference_run(config)
     assert aborted is None

@@ -291,6 +291,9 @@ def test_read_trace_requires_every_metadata_key(dkm_trace, tmp_path, key):
         read_trace(path)
 
 
+SPELLED = "is not the text a trace writes for it"
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -306,6 +309,19 @@ def test_read_trace_requires_every_metadata_key(dkm_trace, tmp_path, key):
         ("blocks", "1,1", "blocks='1,1' are not positive sizes summing to dimension=3"),
         ("seed", "-1", "seed='-1' is below 0"),
         ("max_rounds", "-7", "max_rounds='-7' is below 1"),
+        # spellings write_trace never writes, each refused with the one it does
+        ("agents", " 6 ", f"agents=' 6 ' {SPELLED}, '6'$"),
+        ("agents", "06", f"agents='06' {SPELLED}, '6'$"),
+        ("dimension", "3\t", f"dimension='3\\\\t' {SPELLED}, '3'$"),
+        ("blocks", "+3", f"blocks='\\+3' {SPELLED}, '3'$"),
+        ("seed", "+0", f"seed='\\+0' {SPELLED}, '0'$"),
+        ("seed", "-0", f"seed='-0' {SPELLED}, '0'$"),
+        ("max_rounds", "2_00", f"max_rounds='2_00' {SPELLED}, '200'$"),
+        ("alpha0", "1", f"alpha0='1' {SPELLED}, '1.0'$"),
+        ("alpha0", "1.00", f"alpha0='1.00' {SPELLED}, '1.0'$"),
+        ("gamma", "0.70", f"gamma='0.70' {SPELLED}, '0.7'$"),
+        ("gamma", "7e-1", f"gamma='7e-1' {SPELLED}, '0.7'$"),
+        ("k0", "\u0661", f"k0='\u0661' {SPELLED}, '1'$"),
     ],
 )
 def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, message):
@@ -315,6 +331,72 @@ def test_read_trace_rejects_malformed_metadata(dkm_trace, tmp_path, key, value, 
 
     with pytest.raises(ConfigError, match=message):
         read_trace(write_then_edit(dkm_trace, tmp_path, edit))
+
+
+def _set_metadata(**values):
+    """An edit that sets each named `# key=` line to its value."""
+
+    def edit(lines):
+        for key, value in values.items():
+            lines[next(i for i, x in enumerate(lines) if x.startswith(f"# {key}="))] = f"# {key}={value}"
+
+    return edit
+
+
+MAX_ROUND = 2**63 - 1
+# the most floats one float64 array may hold on a 64-bit numpy
+MAX_FLOATS = MAX_ROUND // 8
+TOO_MANY = f"give states of more floats than numpy can shape, {MAX_FLOATS}"
+
+
+@pytest.mark.parametrize(
+    "at_bound, past_bound, message",
+    [
+        # the seed has no bound: a run takes any seed >= 0
+        (
+            {"max_rounds": MAX_ROUND, "seed": 10**38},
+            {"max_rounds": MAX_ROUND + 1},
+            f"max_rounds='{MAX_ROUND + 1}' is past {MAX_ROUND}, the last round a table holds",
+        ),
+        (
+            {"agents": MAX_FLOATS // 3},
+            {"agents": MAX_FLOATS // 3 + 1},
+            f"agents='{MAX_FLOATS // 3 + 1}' and dimension='3' {TOO_MANY}",
+        ),
+        (
+            {"dimension": MAX_FLOATS // 6, "blocks": MAX_FLOATS // 6},
+            {"dimension": MAX_FLOATS // 6 + 1, "blocks": MAX_FLOATS // 6 + 1},
+            f"agents='6' and dimension='{MAX_FLOATS // 6 + 1}' {TOO_MANY}",
+        ),
+        # a centralized run still evaluates its N operators on an (N, n) array
+        (
+            {"mode": "centralized", "agents": MAX_FLOATS // 3},
+            {"mode": "centralized", "agents": MAX_FLOATS // 3 + 1},
+            f"agents='{MAX_FLOATS // 3 + 1}' and dimension='3' {TOO_MANY}",
+        ),
+    ],
+    ids=["max-rounds", "agents", "dimension", "centralized-agents"],
+)
+def test_read_trace_bounds_metadata_by_what_a_table_and_a_state_hold(
+    dkm_trace, tmp_path, at_bound, past_bound, message
+):
+    parsed = read_trace(write_then_edit(dkm_trace, tmp_path, _set_metadata(**at_bound)))
+    assert (parsed.max_rounds, parsed.seed, parsed.n_agents, parsed.n) == tuple(
+        at_bound.get(key, default) for key, default in (("max_rounds", 200), ("seed", 0), ("agents", 6), ("dimension", 3))
+    )
+    with pytest.raises(ConfigError, match=re.escape(f"tampered.csv: trace metadata {message}") + "$"):
+        read_trace(write_then_edit(dkm_trace, tmp_path, _set_metadata(**past_bound)))
+
+
+def test_stepsize_metadata_is_written_as_floats(tmp_path):
+    # a stepsize built from Python ints writes, and reads back, the float text of its values
+    config = build_preset("paper-dkm-6", max_rounds=20).config
+    trace = run(replace(config, stepsize=PowerLawStepsize(1, 1, 1)))
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    assert path.read_text().splitlines()[7:9] == ["# alpha0=1.0", "# gamma=1.0"]
+    parsed = read_trace(path)
+    assert (parsed.stepsize.alpha0, parsed.stepsize.gamma) == (1.0, 1.0)
 
 
 # dkm_trace's file: the version line, nine metadata lines, the header (line 11), then rows from line 12
