@@ -15,38 +15,26 @@ from numpy.typing import NDArray
 
 from .blocks import Float, as_point, as_states
 from .errors import ParameterError
-from .operators import OperatorFamily, _row_norms
+from .operators import OperatorFamily
 from .stepsize import PowerLawStepsize
-
-
-def _max_row_norms(rows: NDArray[Float], runs: int = 1) -> list[float]:
-    """np.linalg.norm(run, axis=1).max() for each of `runs` equal runs of rows, bit for bit.
-
-    Squares rows in place, so pass a temporary. The squared sums are
-    np.linalg.norm's, add.reduce(rows * rows, axis=1). A correctly rounded
-    sqrt is monotone, so the root of the largest sum is the largest norm.
-    """
-    rows *= rows
-    squares = np.add.reduce(rows, axis=1).reshape(runs, -1)
-    return [math.sqrt(v) for v in np.maximum.reduce(squares, axis=1).tolist()]
 
 
 def consensus_residual(states) -> float:
     """max_i ||x_i - x_bar||, the worst agent's distance to the average."""
     states = as_states(states)
-    return _max_row_norms(states - states.mean(axis=0))[0]
+    return float(np.linalg.norm(states - states.mean(axis=0), axis=-1).max())
 
 
 def fixed_point_residual(family: OperatorFamily, x) -> float:
     """||F(x) - x|| for the global operator F at a single point."""
-    return float(np.linalg.norm(family.global_displacement(x)))
+    return float(np.linalg.norm(family.global_displacement(x), axis=-1))
 
 
 def distance_to_reference(states, reference) -> float:
-    """max_i ||x_i - x_star||, bit for bit np.linalg.norm(states - reference, axis=1).max()."""
+    """max_i ||x_i - x_star||, the worst agent's distance to the reference point."""
     states = as_states(states)
     reference = as_point(reference, states.shape[1])
-    return _max_row_norms(states - reference)[0]
+    return float(np.linalg.norm(states - reference, axis=-1).max())
 
 
 def record_residuals(
@@ -57,16 +45,16 @@ def record_residuals(
     states is a (K, rows, n) stack; entry j of each list is bit for bit what
     consensus_residual, fixed_point_residual and distance_to_reference (NaN
     without a reference) give, but unchecked: every state must be finite,
-    reference None or a finite point. One mean, one stacked row-norm pass
-    and one displacement call cover all K.
+    reference None or a finite point. One mean, one stacked norm pass and
+    one displacement call cover all K.
     """
-    K, rows, n = states.shape
+    K, rows, _ = states.shape
     xbar = np.add.reduce(states, axis=1) / rows
     spread = states - xbar[:, None, :]
     parts = (spread,) if reference is None else (spread, states - reference)
-    worst = _max_row_norms(np.concatenate(parts).reshape(-1, n), len(parts) * K)
+    worst = np.linalg.norm(np.concatenate(parts), axis=-1).max(axis=-1).tolist()
     tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
-    fp = _row_norms(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents).tolist()
+    fp = np.linalg.norm(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents, axis=-1).tolist()
     dist = [math.nan] * K if reference is None else worst[K:]
     return worst[:K], fp, dist
 

@@ -12,6 +12,9 @@ works exclusively with displacements.
 
 Each kind's arithmetic is written once, over a stack of agents: a family
 evaluates one stacked group per kind, a single operator a one-member stack.
+Every Euclidean norm in the package is np.linalg.norm(x, axis=-1), a sum
+of squares along the row that calls no BLAS, so a row's norm has the same
+bits in any stack and under any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -156,16 +159,6 @@ SmoothObjective = Quadratic | Huber
 # operator kinds, stacked over groups of agents
 
 
-def _row_norms(d: NDArray[Float]) -> NDArray[Float]:
-    """Euclidean norm of each row along the last axis.
-
-    A row @ column matmul is the dot product np.linalg.norm takes of a single
-    point, so each entry equals norm(row) bitwise; norm(d, axis=-1) sums in
-    another order and moves the last ulp.
-    """
-    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
-
-
 class _Stack:
     """One operator kind over G agents, parameters stacked on axis 0.
 
@@ -226,7 +219,7 @@ class _BallStack(_Stack):
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
         # the scaling factor depends on the whole vector, so blocks slice the full result
         d = states - self.center
-        nrm = _row_norms(d)
+        nrm = np.linalg.norm(d, axis=-1)
         out = states.copy()
         far = nrm > self.radius
         member = far.nonzero()[-1]
@@ -524,10 +517,10 @@ def pair_norms(points: NDArray[Float], images: NDArray[Float], tol: float) -> tu
     points holds the pairs interleaved on axis 0 (x_p in row 2p, y_p in row
     2p + 1), images their F values, both (2P, ..., n). Returns
     lhs = ||F(x_p) - F(y_p)|| and rhs = ||x_p - y_p|| * (1 + tol) + tol, each
-    (P, ...), equal bitwise to the same sums taken one pair at a time.
+    (P, ...), equal bitwise to the same norms taken one pair at a time.
     """
-    lhs = _row_norms(images[0::2] - images[1::2])
-    rhs = _row_norms(points[0::2] - points[1::2]) * (1.0 + tol) + tol
+    lhs = np.linalg.norm(images[0::2] - images[1::2], axis=-1)
+    rhs = np.linalg.norm(points[0::2] - points[1::2], axis=-1) * (1.0 + tol) + tol
     return lhs, rhs
 
 

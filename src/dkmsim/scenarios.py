@@ -93,9 +93,9 @@ def oracle_linear_solve(R, r, tol: float = 1e-9) -> LinearSolution:
     if R.ndim != 2:
         raise ParameterError(f"matrix must be 2-D, got shape {R.shape}")
     x, _, rank, _ = np.linalg.lstsq(R, r, rcond=None)
-    residual = float(np.linalg.norm(R @ x - r))
+    residual = float(np.linalg.norm(R @ x - r, axis=-1))
     unique = rank == R.shape[1]
-    consistent = residual <= tol * (1.0 + float(np.linalg.norm(r)))
+    consistent = residual <= tol * (1.0 + float(np.linalg.norm(r, axis=-1)))
     return LinearSolution(x, residual, unique, consistent)
 
 
@@ -110,8 +110,7 @@ def oracle_distance_minimizer(
     iteration converges; it stops when successive iterates differ by less
     than tol. This is gradient descent with unit step on the half-mean of
     squared distances, computed without the simulator: each iteration clips
-    x into all boxes at once and projects onto all balls at once, taking
-    each ball's norm as np.linalg.norm takes it of one vector.
+    x into all boxes at once and projects onto all balls at once.
     """
     if len(sets) == 0:
         raise ParameterError("need at least one set")
@@ -134,13 +133,12 @@ def oracle_distance_minimizer(
         proj[boxes] = np.clip(x, lower, upper)
         if len(balls):
             d = x - center
-            # the dot product np.linalg.norm takes of one vector, row by row
-            nrm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+            nrm = np.linalg.norm(d, axis=-1)
             far = nrm > radius
             proj[balls] = x
             proj[balls[far]] = center[far] + (radius[far] / nrm[far])[:, None] * d[far]
         nxt = proj.mean(axis=0)
-        if float(np.linalg.norm(nxt - x)) < tol:
+        if float(np.linalg.norm(nxt - x, axis=-1)) < tol:
             return nxt
         x = nxt
     raise OracleError(f"mean-projection iteration did not settle within {max_iters} iterations")
@@ -181,7 +179,7 @@ def oracle_smooth_minimizer(
         g = np.zeros(n)
         for f in objectives:
             g += f.gradient(x)
-        if float(np.linalg.norm(g)) < tol:
+        if float(np.linalg.norm(g, axis=-1)) < tol:
             return x
         x = x - step * g
     raise OracleError(f"gradient descent did not reach tolerance {tol} within {max_iters} iterations")

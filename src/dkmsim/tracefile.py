@@ -30,6 +30,10 @@ SNAPSHOT_HEADER = "k,agent,coord_index,value"
 _NORMS = ("consensus_residual", "fp_residual", "dist_to_ref")
 # how far, relatively, an alpha_k cell may lie from the stepsize: .12g rounds by at most 5e-12
 _ALPHA_TOL = 1e-11
+# every character a data row holds: digits, separators and a .12g exponent
+_ROW_CHARS = "0123456789.,-+e"
+# a translate table that deletes them and the line breaks, leaving only what no run writes
+_DROP_ROW_CHARS = str.maketrans("", "", _ROW_CHARS + "\n")
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -187,10 +191,11 @@ def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
 
     Refuses a row that does not parse, and one that no run writes: a run
     records rounds 0..max_rounds in increasing order, draws blocks 0..m-1,
-    takes the metadata's stepsize alpha_k, which lies in (0, 1], and writes
-    no negative norm. The values are checked on the parsed table, after
-    every row parsed; alpha_k within a relative _ALPHA_TOL, as its cell
-    holds 12 significant digits.
+    takes the metadata's stepsize alpha_k, which lies in (0, 1], writes no
+    negative norm and no character outside _ROW_CHARS. The values are
+    checked on the parsed table, after every row parsed; alpha_k within a
+    relative _ALPHA_TOL, as its cell holds 12 significant digits. The
+    characters are checked last, in one pass over the rows' text.
     """
     max_rounds, m, stepsize = fields["max_rounds"], len(fields["block_dims"]), fields["stepsize"]
     rows, last_k = [], -1
@@ -231,6 +236,10 @@ def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
         cell = lines[i].split(",")[COLUMNS.index(name)]
         why = why.format(k=table["k"][i], alpha=expected[i])
         raise ConfigError(f"{path}:{first + i}: column {name}: {cell!r} {why}")
+    if "\n".join(lines).translate(_DROP_ROW_CHARS):
+        i = next(i for i, line in enumerate(lines) if line.translate(_DROP_ROW_CHARS))
+        stray = lines[i].translate(_DROP_ROW_CHARS)[0]
+        raise ConfigError(f"{path}:{first + i}: {stray!r} is not a character of a data row ({_ROW_CHARS})")
     return table
 
 
@@ -292,7 +301,7 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
     lines = read_text(path, "snapshot file").splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise ConfigError(f"{path}:1: expected header {SNAPSHOT_HEADER!r}")
-    cells = [(agent, coord) for agent in range(rows) for coord in range(n)]
+    cells = rows * n
     rounds: list[int] = []
     values: list[float] = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -305,7 +314,7 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
             raise ConfigError(f"{path}:{line_no}: expected three integers and a number, got {line!r}") from e
         if min(k, agent, coord) < 0 or not math.isfinite(value):
             raise ConfigError(f"{path}:{line_no}: negative index or non-finite value in {line!r}")
-        j = len(values) % len(cells)
+        j = len(values) % cells
         if j == 0:
             if rounds and k <= rounds[-1]:
                 raise ConfigError(
@@ -315,10 +324,10 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
             rounds.append(k)
         elif k != rounds[-1]:
             raise ConfigError(f"{path}: round {rounds[-1]} has {j} of {rows} x {n} snapshot cells")
-        if (agent, coord) != cells[j]:
-            want = "agent {}, coordinate {}".format(*cells[j])
+        if (agent, coord) != divmod(j, n):
+            want = "agent {}, coordinate {}".format(*divmod(j, n))
             raise ConfigError(f"{path}:{line_no}: expected {want} of round {k}, got {line!r}")
         values.append(value)
-    if len(values) % len(cells):
-        raise ConfigError(f"{path}: round {rounds[-1]} has {len(values) % len(cells)} of {rows} x {n} snapshot cells")
+    if len(values) % cells:
+        raise ConfigError(f"{path}: round {rounds[-1]} has {len(values) % cells} of {rows} x {n} snapshot cells")
     return np.array(rounds, dtype=np.int64), np.array(values).reshape(len(rounds), rows, n)

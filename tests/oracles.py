@@ -121,8 +121,8 @@ def pairwise_nonexpansive(evaluate, n, num_pairs, tol, seed, low=-10.0, high=10.
     for _ in range(num_pairs):
         x = rng.uniform(low, high, n)
         y = rng.uniform(low, high, n)
-        lhs.append(float(np.linalg.norm(evaluate(x) - evaluate(y))))
-        rhs.append(float(np.linalg.norm(x - y)) * (1.0 + tol) + tol)
+        lhs.append(float(np.linalg.norm(evaluate(x) - evaluate(y), axis=-1)))
+        rhs.append(float(np.linalg.norm(x - y, axis=-1)) * (1.0 + tol) + tol)
     return np.array(lhs), np.array(rhs)
 
 
@@ -142,7 +142,7 @@ def pointwise_displacement_bound(family, num_points, seed, low=-10.0, high=10.0)
     for _ in range(num_points):
         x = rng.uniform(low, high, family.n)
         tiled = np.repeat(x[None, :], family.n_agents, axis=0)
-        worst = max(worst, float(np.linalg.norm(family.displacement_all(tiled), axis=1).max()))
+        worst = max(worst, float(np.linalg.norm(family.displacement_all(tiled), axis=-1).max()))
     return worst
 
 
@@ -166,7 +166,7 @@ def project(s, x):
     if isinstance(s, Box):
         return np.clip(x, s.lower, s.upper)
     d = x - s.center
-    nrm = float(np.linalg.norm(d))
+    nrm = float(np.linalg.norm(d, axis=-1))
     if nrm <= s.radius:
         return x.copy()
     return s.center + (s.radius / nrm) * d
@@ -178,7 +178,7 @@ def mean_projection_fixed_point(sets, tol=1e-12, max_iters=10_000_000):
     x = np.mean(centers, axis=0)
     for _ in range(max_iters):
         nxt = np.mean([project(s, x) for s in sets], axis=0)
-        if float(np.linalg.norm(nxt - x)) < tol:
+        if float(np.linalg.norm(nxt - x, axis=-1)) < tol:
             return nxt
         x = nxt
     raise RuntimeError("mean-projection iteration did not settle")

@@ -617,6 +617,16 @@ def _set_last_row(column, value):
     return edit
 
 
+def _append_to_last_row(column, text):
+    """An edit that appends text to one field of the trace's last data row."""
+
+    def edit(files):
+        value = files["trace"].splitlines()[-1].split(",")[column]
+        _set_last_row(column, value + text)(files)
+
+    return edit
+
+
 def _append_abort_marker(k):
     """An edit that appends `# aborted at k=<k>` to the finished 100-round trace, as its line 113."""
     return lambda files: files.update(trace=files["trace"] + f"# aborted at k={k}\n")
@@ -680,6 +690,15 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (("--max-dist", "0.05"), _set_last_row(4, "-1"), "{trace}:112: column dist_to_ref: '-1' is a negative norm"),
         ((), _set_last_row(2, "-0.5"), "{trace}:112: column consensus_residual: '-0.5' is a negative norm"),
         ((), _set_last_row(3, "-1e-09"), "{trace}:112: column fp_residual: '-1e-09' is a negative norm"),
+        # int() and float() read each of these four, as round 100 or as the value written
+        ((), _set_last_row(0, " 100"), "{trace}:112: ' ' is not a character of a data row (0123456789.,-+e)"),
+        ((), _set_last_row(0, "1_00"), "{trace}:112: '_' is not a character of a data row (0123456789.,-+e)"),
+        ((), _append_to_last_row(2, "\t"), "{trace}:112: '\\t' is not a character of a data row (0123456789.,-+e)"),
+        (
+            (),
+            _set_last_row(0, "\u0661\u0660\u0660"),
+            "{trace}:112: '\u0661' is not a character of a data row (0123456789.,-+e)",
+        ),
         ((), _set_last_row(1, "-7"), "{trace}:112: column alpha_k: '-7' lies outside (0, 1], the stepsizes a run takes"),
         ((), _set_last_row(1, "0"), "{trace}:112: column alpha_k: '0' lies outside (0, 1], the stepsizes a run takes"),
         ((), _set_last_row(1, "1.5"), "{trace}:112: column alpha_k: '1.5' lies outside (0, 1], the stepsizes a run takes"),
@@ -731,6 +750,10 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "negative-distance",
         "negative-consensus-residual",
         "negative-fp-residual",
+        "row-with-a-leading-space",
+        "row-with-a-digit-underscore",
+        "row-with-a-tab",
+        "row-in-arabic-indic-digits",
         "negative-alpha",
         "zero-alpha",
         "alpha-above-one",
@@ -765,6 +788,26 @@ def test_compare_reads_the_first_out_of_range_row(capsys, dkm6_trace, tmp_path):
     code, _, err = cli(capsys, "compare", str(trace))
     assert code == EXIT_PARSE
     assert err.splitlines() == [f"config error: {trace}:62: column dist_to_ref: '-3' is a negative norm"]
+
+
+def test_huge_agent_count_is_refused_at_the_companion_within_its_size(capsys, dkm6_trace, tmp_path):
+    # a companion of 6 x 3 cells per round against 10**6 x 3 in the metadata: memory follows the file, not agents
+    files = {"trace": dkm6_trace.read_text()}
+    _set_meta("agents", "1000000")(files)
+    trace = tmp_path / "t.csv"
+    trace.write_text(files["trace"])
+    snapshot_path_for(trace).write_text(snapshot_path_for(dkm6_trace).read_text())
+    tracemalloc.start()
+    try:
+        code, out, err = cli(capsys, "compare", str(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines() == [
+        f"config error: {snapshot_path_for(trace)}: round 0 has 18 of 1000000 x 3 snapshot cells"
+    ]
+    assert peak < 8 * 2**20
 
 
 def _append_byte_ff(path):

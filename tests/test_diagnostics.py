@@ -74,37 +74,42 @@ def test_distance_to_reference_cases():
 
 
 def kernel_family(kind, n_agents=5):
-    """Five agents of one kind on a 3-block partition of R^4, or of every kind in turn for "mixed"."""
-    part = BlockPartition((2, 1, 1))
+    """Five agents of one kind on a 3-block partition of R^4, or of every kind in turn for "mixed".
+
+    "mixed-R9" is "mixed" on a 3-block partition of R^9.
+    """
+    part = BlockPartition((4, 3, 2) if kind == "mixed-R9" else (2, 1, 1))
+    n = part.n
     rng = np.random.default_rng(8)
 
     def affine():
-        G = rng.standard_normal((4, 4))
-        R = G.T @ G + 0.1 * np.eye(4)
-        return Affine(part, R, rng.standard_normal(4), theta=1.0 / np.linalg.eigvalsh(R).max())
+        G = rng.standard_normal((n, n))
+        R = G.T @ G + 0.1 * np.eye(n)
+        return Affine(part, R, rng.standard_normal(n), theta=1.0 / np.linalg.eigvalsh(R).max())
 
     kinds = {
-        "box": lambda: Projection(part, Box(-np.ones(4), rng.uniform(0.5, 2.0, 4))),
-        "ball": lambda: Projection(part, Ball(rng.standard_normal(4), 2.0)),
+        "box": lambda: Projection(part, Box(-np.ones(n), rng.uniform(0.5, 2.0, n))),
+        "ball": lambda: Projection(part, Ball(rng.standard_normal(n), 2.0)),
         "quadratic": lambda: GradientStep(
-            part, Quadratic(rng.standard_normal((4, 4)) * 0.3, rng.standard_normal(4)), tau=0.5
+            part, Quadratic(rng.standard_normal((n, n)) * 0.3, rng.standard_normal(n)), tau=0.5
         ),
-        "huber": lambda: GradientStep(part, Huber(rng.standard_normal(4), 1.0), tau=1.0),
+        "huber": lambda: GradientStep(part, Huber(rng.standard_normal(n), 1.0), tau=1.0),
         "affine": affine,
     }
-    makers = list(kinds.values()) if kind == "mixed" else [kinds[kind]]
+    makers = list(kinds.values()) if kind.startswith("mixed") else [kinds[kind]]
     return OperatorFamily([makers[i % len(makers)]() for i in range(n_agents)])
 
 
-@pytest.mark.parametrize("kind", ["box", "ball", "quadratic", "huber", "affine", "mixed"])
+@pytest.mark.parametrize("kind", ["box", "ball", "quadratic", "huber", "affine", "mixed", "mixed-R9"])
 def test_record_residuals_equal_the_public_diagnostics(kind):
     family = kernel_family(kind)
+    n = family.n
     rng = np.random.default_rng(21)
     for scale in (1e-8, 1e-4, 1.0, 1e3):
-        reference = rng.standard_normal(4) * scale
+        reference = rng.standard_normal(n) * scale
         # every agent's row, or the single row of a centralized run
         for rows in (family.n_agents, 1):
-            states = (rng.standard_normal((9, rows, 4)) + rng.standard_normal(4)) * scale
+            states = (rng.standard_normal((9, rows, n)) + rng.standard_normal(n)) * scale
             for ref in (None, reference):
                 consensus, fp, dist = record_residuals(family, states, ref)
                 assert len(consensus) == len(fp) == len(dist) == len(states)

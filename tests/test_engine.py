@@ -898,18 +898,30 @@ def assert_records_equal_the_public_diagnostics(trace, family, reference):
             assert np.isnan(row["dist_to_ref"])
         else:
             assert row["dist_to_ref"] == distance_to_reference(states, reference)
-            assert row["dist_to_ref"] == np.linalg.norm(states - reference, axis=1).max()
-        # the public diagnostics are np.linalg.norm of the defining expressions, bit for bit
-        assert row["consensus_residual"] == np.linalg.norm(states - xbar, axis=1).max()
+            assert row["dist_to_ref"] == np.linalg.norm(states - reference, axis=-1).max()
+        # the public diagnostics are np.linalg.norm(..., axis=-1) of the defining expressions, bit for bit
+        assert row["consensus_residual"] == np.linalg.norm(states - xbar, axis=-1).max()
         tiled = np.repeat(xbar[None, :], family.n_agents, axis=0)
-        assert row["fp_residual"] == np.linalg.norm(family.displacement_all(tiled).mean(axis=0))
+        assert row["fp_residual"] == np.linalg.norm(family.displacement_all(tiled).mean(axis=0), axis=-1)
+
+
+# R^4, and R^9: rows of 8 or more floats are where numpy's pairwise sum leaves left-to-right order
+RECORD_FAMILIES = {
+    "R4": lambda: mixed_family(n_agents=5),
+    "R9": lambda: random_family(5, (4, 3, 2), ("ball", "box", "huber", "quadratic", "affine"), seed=9),
+}
 
 
 @pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
-@pytest.mark.parametrize("reference", [None, np.array([0.5, -1.0, 2.0, 0.0])], ids=["no-reference", "reference"])
-def test_records_equal_the_public_diagnostics(mode, reference):
+@pytest.mark.parametrize(
+    "dims, with_reference",
+    [("R4", False), ("R4", True), ("R9", False), ("R9", True)],
+    ids=["no-reference", "reference", "R9-no-reference", "R9-reference"],
+)
+def test_records_equal_the_public_diagnostics(mode, dims, with_reference):
     # five agents: dividing by a power of two would hide a mean taken as sum * (1/N)
-    family = mixed_family(n_agents=5)
+    family = RECORD_FAMILIES[dims]()
+    reference = np.resize([0.5, -1.0, 2.0, 0.0], family.n) if with_reference else None
     K = records_per_pass(mode, family)
     # 301 records, then K - 1, K, K + 1 and 2K + 1: full and partial residual passes
     for rounds in (300, K - 2, K - 1, K, 2 * K):

@@ -466,8 +466,7 @@ def stacked_kind_cases():
         return op.theta * (op.offset - np.einsum("jk,k->j", op.matrix, x))
 
     def project_set(op, x):
-        # a ball's scalar norm: the stacked kind takes the same dot product per
-        # row, so this is exact, where np.linalg.norm(d, axis=1) is off by up to 2 ulps
+        # one point's norm along its last axis, the sum the stacked kind takes per row
         return project(op.target_set, x)
 
     return part, {
