@@ -52,6 +52,9 @@ RECORD_FLOATS = 1024
 
 MODES = ("dkm", "dbkm", "centralized")
 
+# the last round an int64 k column holds; a run takes no max_rounds or snapshot_every past it
+MAX_ROUND = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class BlockSelector:
@@ -211,6 +214,8 @@ class RunConfig:
             raise ParameterError(f"record_every must be >= 1, got {self.record_every}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ParameterError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        if self.snapshot_every is not None and self.snapshot_every > MAX_ROUND:
+            raise ParameterError(f"snapshot_every must be <= {MAX_ROUND}, got {self.snapshot_every}")
         if not np.isfinite(self.divergence_limit) or self.divergence_limit <= 0:
             raise ParameterError(f"divergence limit must be positive, got {self.divergence_limit}")
 
@@ -353,9 +358,12 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         table, count = np.empty(planned, RECORD), 0
     except (ValueError, MemoryError) as e:
         raise ParameterError(f"max_rounds {max_rounds} plans {planned} records, a table too large to allocate") from e
+    if max_rounds > MAX_ROUND:
+        raise ParameterError(f"max_rounds must be <= {MAX_ROUND}, the last round a table holds, got {max_rounds}")
     ks, filled = table["k"], 0
     for r in plan:
-        ks[filled : filled + len(r)] = np.arange(r.start, r.stop, r.step)
+        # int64 outright: the final piece stops at max_rounds + 1, which may be 2**63
+        ks[filled : filled + len(r)] = np.arange(r.start, r.stop, r.step, dtype=np.int64)
         filled += len(r)
     del plan
     snapshot_every = config.snapshot_every

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import RECORD, Trace
-from .engine import MODES
+from .engine import MAX_ROUND, MODES
 from .errors import ConfigError, DkmsimError, read_text
 from .stepsize import PowerLawStepsize
 
@@ -77,8 +77,7 @@ _META = {
     "gamma": ("gamma", float, lambda value: repr(float(value))),
     "k0": ("k0", int, str),
 }
-# the last round an int64 k column holds, and the most floats numpy can shape into one float64 array
-_MAX_ROUND = 2**63 - 1
+# the most floats numpy can shape into one float64 array
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
@@ -139,9 +138,9 @@ def _parse_meta(prologue: list[str], path) -> dict:
     for key, low in (("agents", 1), ("dimension", 1), ("seed", 0), ("max_rounds", 1)):
         if fields[_META[key][0]] < low:
             raise ConfigError(f"{path}: trace metadata {key}={meta[key]!r} is below {low}")
-    if fields["max_rounds"] > _MAX_ROUND:
+    if fields["max_rounds"] > MAX_ROUND:
         raise ConfigError(
-            f"{path}: trace metadata max_rounds={meta['max_rounds']!r} is past {_MAX_ROUND}, the last round a table holds"
+            f"{path}: trace metadata max_rounds={meta['max_rounds']!r} is past {MAX_ROUND}, the last round a table holds"
         )
     # a run of any mode evaluates its N operators on an (N, n) array
     if fields["n_agents"] * fields["n"] > _MAX_FLOATS:
@@ -164,69 +163,59 @@ def _parse_meta(prologue: list[str], path) -> dict:
     return fields
 
 
-def _refuse_row(parts: list[str], where: str, last_k: int, max_rounds: int, m: int) -> ConfigError:
-    """The refusal of a data row _parse_rows found at fault, naming its first fault."""
+def _unparsed_row(parts: list[str], m: int) -> str:
+    """Why a data row does not parse: its first fault, column by column."""
     if len(parts) != len(COLUMNS):
-        return ConfigError(f"{where}: expected {len(COLUMNS)} columns, got {len(parts)}")
-    values = {}
+        return f"expected {len(COLUMNS)} columns, got {len(parts)}"
     for name, text in zip(COLUMNS, parts):
         try:
-            values[name] = (int if RECORD[name].kind == "i" else float)(text) if text else None
+            (int if RECORD[name].kind == "i" else float)(text or "0")
         except ValueError:
-            return ConfigError(f"{where}: column {name}: {text!r} is not numeric")
-        if text and not math.isfinite(values[name]):
-            return ConfigError(f"{where}: column {name}: non-finite value {text!r}")
-    k = values["k"]
-    if None in (k, values["alpha_k"], values["consensus_residual"]):
-        return ConfigError(f"{where}: k, alpha_k, consensus_residual must be present")
-    if not 0 <= k <= max_rounds:
-        return ConfigError(f"{where}: round {k} lies outside 0..{max_rounds}, the rounds a run records")
-    if k <= last_k:
-        return ConfigError(f"{where}: round {k} does not increase past {last_k}")
-    return ConfigError(f"{where}: column selected_block: block {values['selected_block']} is not one of 0..{m - 1}")
+            return f"column {name}: {text!r} is not numeric"
+    if "" in parts[:3]:
+        return "k, alpha_k, consensus_residual must be present"
+    return f"column selected_block: block {parts[-1]} is not one of 0..{m - 1}"
 
 
 def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
     """The RECORD table of rows, lines[0] being line `first`: empty fields read as NaN and -1.
 
-    Refuses a row that does not parse, and one that no run writes: a run
-    records rounds 0..max_rounds in increasing order, draws blocks 0..m-1,
-    takes the metadata's stepsize alpha_k, which lies in (0, 1], writes no
-    negative norm and no character outside _ROW_CHARS. The values are
-    checked on the parsed table, after every row parsed; alpha_k within a
-    relative _ALPHA_TOL, as its cell holds 12 significant digits. The
-    characters are checked last, in one pass over the rows' text.
+    Refuses a row that no run writes, naming the first fault of three passes:
+      1. while reading, in file order: a row that does not parse (see
+         _unparsed_row), or a round outside 0..max_rounds, which keeps k in int64;
+      2. on the parsed table, the first row that breaks a rule of `checks`, and its first rule;
+      3. a character outside _ROW_CHARS, in one pass over the rows' text.
     """
     max_rounds, m, stepsize = fields["max_rounds"], len(fields["block_dims"]), fields["stepsize"]
-    rows, last_k = [], -1
+    # the block cells a run writes: empty for no block, else the index as str() spells it
+    blocks = {"": -1, **{str(b): b for b in range(m)}}
+    rows = []
     for line_no, line in enumerate(lines, start=first):
         parts = line.split(",")
         try:
             k, alpha, consensus, fp, dist, block = parts
-            row = (int(k), float(alpha), float(consensus), float(fp or "nan"), float(dist or "nan"), int(block or -1))
-        except ValueError:
-            row = None
-        if row is None or not (
-            last_k < row[0] <= max_rounds
-            and (not block or 0 <= row[5] < m)
-            and math.isfinite(row[1]) and math.isfinite(row[2])
-            and (not fp or math.isfinite(row[3])) and (not dist or math.isfinite(row[4]))
-        ):
-            raise _refuse_row(parts, f"{path}:{line_no}", last_k, max_rounds, m)
+            row = (int(k), float(alpha), float(consensus), float(fp or "nan"), float(dist or "nan"), blocks[block])
+        except (ValueError, KeyError):
+            raise ConfigError(f"{path}:{line_no}: {_unparsed_row(parts, m)}") from None
+        if not 0 <= row[0] <= max_rounds:
+            raise ConfigError(f"{path}:{line_no}: round {row[0]} lies outside 0..{max_rounds}, the rounds a run records")
         rows.append(row)
-        last_k = row[0]
     table = np.array(rows, dtype=RECORD)
-    alpha = table["alpha_k"]
-    expected = stepsize.alpha0 / (table["k"] + float(stepsize.k0)) ** stepsize.gamma
-    # (column, True where a row's value fails the check, why); an empty cell's NaN passes every check
+    k, alpha = table["k"], table["alpha_k"]
+    expected = stepsize.alpha0 / (k + float(stepsize.k0)) ** stepsize.gamma
+    non_finite = "column {name}: non-finite value {cell!r}"
+    # (column, True where a row breaks the rule, its refusal); the NaN of an empty cell breaks none
     checks = [
-        ("alpha_k", (alpha <= 0) | (alpha > 1), "lies outside (0, 1], the stepsizes a run takes"),
+        ("k", np.diff(k, prepend=-1) <= 0, "round {k} does not increase past {previous}"),
+        *((name, ~np.isfinite(table[name]), non_finite) for name in ("alpha_k", "consensus_residual")),
+        *((name, np.isinf(table[name]), non_finite) for name in ("fp_residual", "dist_to_ref")),
+        ("alpha_k", (alpha <= 0) | (alpha > 1), "column {name}: {cell!r} lies outside (0, 1], the stepsizes a run takes"),
         (
             "alpha_k",
             np.abs(alpha - expected) > _ALPHA_TOL * expected,
-            "is not the metadata's stepsize alpha_{k} = {alpha:.12g}",
+            "column {name}: {cell!r} is not the metadata's stepsize alpha_{k} = {alpha:.12g}",
         ),
-        *((name, table[name] < 0, "is a negative norm") for name in _NORMS),
+        *((name, table[name] < 0, "column {name}: {cell!r} is a negative norm") for name in _NORMS),
     ]
     faults = np.stack([fails for _, fails, _ in checks])
     at_fault = faults.any(axis=0)
@@ -234,8 +223,8 @@ def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
         i = int(at_fault.argmax())
         name, _, why = checks[int(faults[:, i].argmax())]
         cell = lines[i].split(",")[COLUMNS.index(name)]
-        why = why.format(k=table["k"][i], alpha=expected[i])
-        raise ConfigError(f"{path}:{first + i}: column {name}: {cell!r} {why}")
+        why = why.format(name=name, cell=cell, k=k[i], previous=k[i - 1], alpha=expected[i])
+        raise ConfigError(f"{path}:{first + i}: {why}")
     if "\n".join(lines).translate(_DROP_ROW_CHARS):
         i = next(i for i, line in enumerate(lines) if line.translate(_DROP_ROW_CHARS))
         stray = lines[i].translate(_DROP_ROW_CHARS)[0]
@@ -321,6 +310,8 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
                     f"{path}:{line_no}: round {k} does not increase past {rounds[-1]}"
                     f" (a round holds {rows} x {n} cells)"
                 )
+            if k > MAX_ROUND:
+                raise ConfigError(f"{path}:{line_no}: round {k} is past {MAX_ROUND}, the last round a table holds")
             rounds.append(k)
         elif k != rounds[-1]:
             raise ConfigError(f"{path}: round {rounds[-1]} has {j} of {rows} x {n} snapshot cells")

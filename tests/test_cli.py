@@ -143,6 +143,7 @@ def test_run_overrides(capsys, config_file, tmp_path):
         (("--max-rounds", "-5"), "max_rounds must be >= 1, got -5"),
         (("--snapshot-cadence", "0"), "snapshot_every must be >= 1, got 0"),
         (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--snapshot-cadence", str(2**63)), f"snapshot_every must be <= {2**63 - 1}, got {2**63}"),
     ],
 )
 def test_run_validates_overrides(capsys, tmp_path, override, message):
@@ -309,6 +310,19 @@ def test_run_refuses_a_record_table_too_large_to_allocate(capsys, tmp_path):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.splitlines() == [f"error: max_rounds {2**63} plans {2**63 + 1} records, a table too large to allocate"]
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("max_rounds", [2**63, 10**20])
+def test_run_refuses_max_rounds_past_the_last_round_a_table_holds(capsys, tmp_path, max_rounds):
+    # a plan of rounds 0 and max_rounds fits any table, but its k column cannot hold the final round
+    doc = scenario_to_config(build_preset("paper-dkm-6"), trace_path=str(tmp_path / "t.csv"))
+    doc["run"]["record_every"] = 10**20
+    save_config(doc, tmp_path / "sparse.yaml")
+    code, out, err = cli(capsys, "run", str(tmp_path / "sparse.yaml"), "--max-rounds", str(max_rounds))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.splitlines() == [f"error: max_rounds must be <= {2**63 - 1}, the last round a table holds, got {max_rounds}"]
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -604,17 +618,23 @@ def _set_meta(key, value):
     return edit
 
 
-def _set_last_row(column, value):
-    """An edit that sets one field of the trace's last data row, line 112 of dkm6_trace."""
+def _set_row(row, column, value):
+    """An edit that sets one field of a data row of dkm6_trace: row 0 is line 12, row -1 line 112."""
 
     def edit(files):
         lines = files["trace"].splitlines()
-        parts = lines[-1].split(",")
+        i = row if row < 0 else 11 + row
+        parts = lines[i].split(",")
         parts[column] = value
-        lines[-1] = ",".join(parts)
+        lines[i] = ",".join(parts)
         files["trace"] = "\n".join(lines) + "\n"
 
     return edit
+
+
+def _set_last_row(column, value):
+    """An edit that sets one field of the trace's last data row, line 112 of dkm6_trace."""
+    return _set_row(-1, column, value)
 
 
 def _append_to_last_row(column, text):
@@ -683,6 +703,10 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_last_row(0, "500"), "{trace}:112: round 500 lies outside 0..100"),
         ((), _set_last_row(5, "1"), "{trace}:112: column selected_block: block 1 is not one of 0..0"),
         ((), _set_last_row(5, "-1"), "{trace}:112: column selected_block: block -1 is not one of 0..0"),
+        # int() reads these three as blocks 1 and 0, but a run writes a block as str() spells it
+        ((), _set_last_row(5, "+1"), "{trace}:112: column selected_block: block +1 is not one of 0..0"),
+        ((), _set_last_row(5, "+0"), "{trace}:112: column selected_block: block +0 is not one of 0..0"),
+        ((), _set_last_row(5, "00"), "{trace}:112: column selected_block: block 00 is not one of 0..0"),
         ((), _append_abort_marker(-7), "{trace}:113: abort marker k=-7 lies outside 1..100"),
         ((), _append_abort_marker(99999), "{trace}:113: abort marker k=99999 lies outside 1..100"),
         ((), _append_abort_marker(50), "{trace}:113: abort marker k=50 is not past the last recorded round 100"),
@@ -690,6 +714,13 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (("--max-dist", "0.05"), _set_last_row(4, "-1"), "{trace}:112: column dist_to_ref: '-1' is a negative norm"),
         ((), _set_last_row(2, "-0.5"), "{trace}:112: column consensus_residual: '-0.5' is a negative norm"),
         ((), _set_last_row(3, "-1e-09"), "{trace}:112: column fp_residual: '-1e-09' is a negative norm"),
+        ((), _set_last_row(3, "1e999"), "{trace}:112: column fp_residual: non-finite value '1e999'"),
+        ((), _set_last_row(4, "1e999"), "{trace}:112: column dist_to_ref: non-finite value '1e999'"),
+        (
+            REF,
+            lambda files: files.update(snap=files["snap"].replace("\n100,", f"\n{10**20},")),
+            f"{{snap}}:38: round {10**20} is past {2**63 - 1}, the last round a table holds",
+        ),
         # int() and float() read each of these four, as round 100 or as the value written
         ((), _set_last_row(0, " 100"), "{trace}:112: ' ' is not a character of a data row (0123456789.,-+e)"),
         ((), _set_last_row(0, "1_00"), "{trace}:112: '_' is not a character of a data row (0123456789.,-+e)"),
@@ -711,6 +742,20 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
             (),
             _set_last_row(1, "0.0395343897"),
             "{trace}:112: column alpha_k: '0.0395343897' is not the metadata's stepsize alpha_100 = 0.0395343896503",
+        ),
+        # the first row and the last one both break a rule; the refusal names the first row
+        (
+            (),
+            lambda files: (
+                _set_row(0, 2, "-0.5")(files),
+                files.update(trace=files["trace"] + files["trace"].splitlines()[-1] + "\n"),
+            ),
+            "{trace}:12: column consensus_residual: '-0.5' is a negative norm",
+        ),
+        (
+            (),
+            lambda files: (_set_row(0, 1, "0.5")(files), _set_last_row(2, "inf")(files)),
+            "{trace}:12: column alpha_k: '0.5' is not the metadata's stepsize alpha_0 = 1",
         ),
     ],
     ids=[
@@ -743,6 +788,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "round-past-max-rounds",
         "block-past-the-partition",
         "negative-block",
+        "block-with-a-plus-sign",
+        "block-zero-with-a-plus-sign",
+        "block-zero-with-a-leading-zero",
         "abort-marker-below-one",
         "abort-marker-past-max-rounds",
         "abort-marker-not-past-the-last-row",
@@ -750,6 +798,9 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "negative-distance",
         "negative-consensus-residual",
         "negative-fp-residual",
+        "infinite-fp-residual",
+        "infinite-distance",
+        "snapshot-round-past-int64",
         "row-with-a-leading-space",
         "row-with-a-digit-underscore",
         "row-with-a-tab",
@@ -759,6 +810,8 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "alpha-above-one",
         "alpha-off-the-stepsize",
         "alpha-off-the-stepsize-in-the-tenth-digit",
+        "negative-norm-before-a-repeated-round",
+        "off-stepsize-before-an-infinite-residual",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):

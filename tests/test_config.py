@@ -281,9 +281,10 @@ def test_set_dimension_mismatch_is_config_error():
         ("seed", -2, "seed must be >= 0, got -2"),
         ("record_every", 0, "record_every must be >= 1, got 0"),
         ("snapshot_every", 0, "snapshot_every must be >= 1, got 0"),
+        ("snapshot_every", 10**20, f"snapshot_every must be <= {2**63 - 1}, got {10**20}"),
         ("init", {"kind": "explicit", "states": [[0.0] * 3] * 2}, "state matrix has 2 rows, expected 6 agents"),
     ],
-    ids=["max_rounds", "seed", "record_every", "snapshot_every", "init"],
+    ids=["max_rounds", "seed", "record_every", "snapshot_every", "snapshot_every-past-int64", "init"],
 )
 def test_run_field_refusal_names_its_run_key(key, value, message):
     doc = scenario_to_config(build_preset("paper-dkm-6"))

@@ -45,7 +45,7 @@ from dkmsim import (
     validate_full,
     validate_run,
 )
-from dkmsim.engine import RECORD, RECORD_FLOATS, WINDOW_FLOATS, record_rounds
+from dkmsim.engine import MAX_ROUND, RECORD, RECORD_FLOATS, WINDOW_FLOATS, record_rounds
 from dkmsim.errors import (
     AssumptionError,
     DimensionMismatchError,
@@ -1141,6 +1141,23 @@ def test_a_table_too_large_to_address_is_refused(max_rounds):
     )
     with pytest.raises(ParameterError, match=f"^max_rounds {max_rounds} plans {max_rounds + 1} records"):
         run(config)
+
+
+def test_a_run_may_end_at_the_last_round_a_table_holds():
+    # record_every past every round plans rounds 0 and MAX_ROUND; the doubling state diverges in round 39
+    config = RunConfig(
+        family=OperatorFamily([Identity(BlockPartition.single(1))]),
+        stepsize=STEP,
+        schedule=GraphSchedule([np.array([[2.0]])], Q=1, weight_floor=0.4),
+        max_rounds=MAX_ROUND,
+        init=np.array([[1.0]]),
+        record_every=10**20,
+        snapshot_every=MAX_ROUND,
+    )
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    assert exc.value.last_round == 39
+    assert exc.value.trace.table["k"].tolist() == exc.value.trace.snapshot_rounds.tolist() == [0]
 
 
 def test_a_table_the_allocator_refuses_is_refused(monkeypatch):

@@ -206,7 +206,7 @@ def test_abort_marker_past_a_thinned_last_row_accepted(tmp_path):
     assert read_trace(path).aborted_at == trace.aborted_at
 
 
-@pytest.mark.parametrize("block", ["-1", "3", "7"])
+@pytest.mark.parametrize("block", ["-1", "3", "7", "01"])
 def test_block_outside_the_partition_rejected(dbkm_trace, tmp_path, block):
     # dbkm_trace draws from three blocks; -1 would read back as "no block"
     edited = []
