@@ -7,7 +7,6 @@ cross-check the iteration against its averaged rewrite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +38,25 @@ def distance_to_reference(states, reference) -> float:
 
 def record_residuals(
     family: OperatorFamily, states: NDArray[Float], reference: NDArray[Float] | None
-) -> tuple[list[float], list[float], list[float]]:
-    """Per-state lists (consensus residual, fixed-point residual at the mean, distance to reference).
+) -> tuple[NDArray[Float], NDArray[Float], NDArray[Float]]:
+    """Per-state float64 arrays (consensus residual, fixed-point residual at the mean, distance to reference).
 
-    states is a (K, rows, n) stack; entry j of each list is bit for bit what
-    consensus_residual, fixed_point_residual and distance_to_reference (NaN
-    without a reference) give, but unchecked: every state must be finite,
-    reference None or a finite point. One mean, one stacked norm pass and
-    one displacement call cover all K.
+    states is a (K, rows, n) stack; entry j of each length-K array is bit for
+    bit what consensus_residual, fixed_point_residual and
+    distance_to_reference (NaN without a reference) give, but unchecked:
+    every state must be finite, reference None or a finite point. One mean,
+    one stacked norm pass and one displacement call cover all K. Arrays, not
+    lists, because a record table's columns take them without a Python float
+    per entry.
     """
     K, rows, _ = states.shape
     xbar = np.add.reduce(states, axis=1) / rows
     spread = states - xbar[:, None, :]
     parts = (spread,) if reference is None else (spread, states - reference)
-    worst = np.linalg.norm(np.concatenate(parts), axis=-1).max(axis=-1).tolist()
+    worst = np.linalg.norm(np.concatenate(parts), axis=-1).max(axis=-1)
     tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
-    fp = np.linalg.norm(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents, axis=-1).tolist()
-    dist = [math.nan] * K if reference is None else worst[K:]
+    fp = np.linalg.norm(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents, axis=-1)
+    dist = np.full(K, np.nan) if reference is None else worst[K:]
     return worst[:K], fp, dist
 
 

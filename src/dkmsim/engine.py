@@ -214,6 +214,8 @@ class RunConfig:
             raise ParameterError(f"record_every must be >= 1, got {self.record_every}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ParameterError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        if self.max_rounds > MAX_ROUND:
+            raise ParameterError(f"max_rounds must be <= {MAX_ROUND}, the last round a table holds, got {self.max_rounds}")
         if self.snapshot_every is not None and self.snapshot_every > MAX_ROUND:
             raise ParameterError(f"snapshot_every must be <= {MAX_ROUND}, got {self.snapshot_every}")
         if not np.isfinite(self.divergence_limit) or self.divergence_limit <= 0:
@@ -324,9 +326,10 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
     its k column from record_rounds, or ParameterError names its size. Rounds
     run in windows of G = max(2, WINDOW_FLOATS // (rows * n)); a window's
     alpha_k and block uniforms (the stream of one draw_block per round) are
-    taken before its rounds: each a mix (centralized: a copy), then the local
-    step. The guard checks a whole window and names the first round, agent
-    and coordinate past the limit, as a per-round check would.
+    taken before its rounds: each a mix (centralized: a copy) written straight
+    into the window's slot for that round, then the local step in place there.
+    The guard checks a whole window and names the first round, agent and
+    coordinate past the limit, as a per-round check would.
     The window's rows, up to that round, take their states from the window in
     unchecked record_residuals passes of at most K = max(2, RECORD_FLOATS //
     (rows * n)), bit for bit those taken singly.
@@ -358,8 +361,6 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         table, count = np.empty(planned, RECORD), 0
     except (ValueError, MemoryError) as e:
         raise ParameterError(f"max_rounds {max_rounds} plans {planned} records, a table too large to allocate") from e
-    if max_rounds > MAX_ROUND:
-        raise ParameterError(f"max_rounds must be <= {MAX_ROUND}, the last round a table holds, got {max_rounds}")
     ks, filled = table["k"], 0
     for r in plan:
         # int64 outright: the final piece stops at max_rounds + 1, which may be 2**63
@@ -399,9 +400,13 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
         # rounds after a diverging one still run to the window's end; their arithmetic may overflow
         with np.errstate(all="ignore"):
             for j, (k, alpha, block) in enumerate(zip(range(k0, k1), alphas, drawn), 1):
-                new = states.copy() if mats is None else mats[k % period] @ states
+                new = win[j]
+                if mats is None:
+                    new[...] = states
+                else:
+                    np.matmul(mats[k % period], states, out=new)
                 step(new, family, alpha, block)
-                win[j] = states = new
+                states = new
         done = win[1 : k1 - k0 + 1]
         # NaN fails both comparisons
         fatal = None
@@ -432,4 +437,5 @@ def run(config: RunConfig, validate: bool = True) -> Trace:
             )
         win[0] = states
 
-    return finish(final_states=states)
+    # states is a view of the window, which the trace must not share
+    return finish(final_states=states.copy())

@@ -15,6 +15,12 @@ evaluates one stacked group per kind, a single operator a one-member stack.
 Every Euclidean norm in the package is np.linalg.norm(x, axis=-1), a sum
 of squares along the row that calls no BLAS, so a row's norm has the same
 bits in any stack and under any BLAS kernel.
+
+The box and Huber kinds clamp with numpy's clip ufunc, called directly:
+np.clip and ndarray.clip end in that same ufunc, so the bits are theirs,
+but each also passes through a Python wrapper that costs more per call
+than clamping a few agents' rows. The ufunc lives in numpy._core.umath
+from numpy 2 and in numpy.core.umath before it; the import picks one once.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ from numpy.typing import NDArray
 from .blocks import BlockPartition, Float, as_point, as_states
 from .errors import DimensionMismatchError, ParameterError
 from .validation import ValidationReport, Violation, failed, passed
+
+if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+    from numpy._core.umath import clip as _clip
+else:
+    from numpy.core.umath import clip as _clip
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -201,14 +212,13 @@ class _BoxStack(_Stack):
         }
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
-        # ndarray.clip is what np.clip calls, minus the wrapper's per-call overhead
-        return states.clip(self.lower, self.upper)
+        return _clip(states, self.lower, self.upper)
 
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
         # clamp only needs the block's own coordinates
         sub = states[..., sl]
         lower, upper = self.block_bounds[sl.start]
-        return sub.clip(lower, upper) - sub
+        return _clip(sub, lower, upper) - sub
 
 
 class _BallStack(_Stack):
@@ -246,10 +256,11 @@ class _HuberStepStack(_Stack):
     def __init__(self, ops):
         self.target = np.stack([op.objective.target for op in ops])
         self.delta = np.array([op.objective.delta for op in ops])[:, None]
+        self.neg_delta = -self.delta
         self.neg_tau = -np.array([op.tau for op in ops])[:, None]
 
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
-        return self.neg_tau * (states - self.target).clip(-self.delta, self.delta)
+        return self.neg_tau * _clip(states - self.target, self.neg_delta, self.delta)
 
 
 class _AffineStack(_Stack):

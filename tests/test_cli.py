@@ -91,6 +91,19 @@ def test_validate_flags_bad_mixing_matrix(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_validate_refuses_the_max_rounds_run_refuses(capsys, tmp_path):
+    # no table holds round 10**20; validate refuses the config as run does, under its run key
+    doc = scenario_to_config(build_preset("paper-dkm-6"), trace_path=str(tmp_path / "t.csv"))
+    doc["run"].update(max_rounds=10**20, record_every=10**20)
+    save_config(doc, tmp_path / "past.yaml")
+    message = f"max_rounds must be <= {2**63 - 1}, the last round a table holds, got {10**20}"
+    for command in ("validate", "run"):
+        code, out, err = cli(capsys, command, str(tmp_path / "past.yaml"))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.splitlines() == [f"config error: run.max_rounds: {message}"]
+    assert not (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -304,18 +317,19 @@ def test_run_divergence_exit_code(capsys, tmp_path):
 
 def test_run_refuses_a_record_table_too_large_to_allocate(capsys, tmp_path):
     doc = scenario_to_config(build_preset("paper-dkm-6"), trace_path=str(tmp_path / "t.csv"))
-    doc["run"].update(max_rounds=2**63, record_every=1)
+    doc["run"].update(max_rounds=2**63 - 1, record_every=1)
     save_config(doc, tmp_path / "huge.yaml")
     code, out, err = cli(capsys, "run", str(tmp_path / "huge.yaml"), "--skip-validate")
     assert code == EXIT_VALIDATION
     assert out == ""
-    assert err.splitlines() == [f"error: max_rounds {2**63} plans {2**63 + 1} records, a table too large to allocate"]
+    assert err.splitlines() == [f"error: max_rounds {2**63 - 1} plans {2**63} records, a table too large to allocate"]
     assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("max_rounds", [2**63, 10**20])
 def test_run_refuses_max_rounds_past_the_last_round_a_table_holds(capsys, tmp_path, max_rounds):
-    # a plan of rounds 0 and max_rounds fits any table, but its k column cannot hold the final round
+    # a plan of rounds 0 and max_rounds would fit any table, but no k column holds the final round,
+    # so the override is refused as the config is built
     doc = scenario_to_config(build_preset("paper-dkm-6"), trace_path=str(tmp_path / "t.csv"))
     doc["run"]["record_every"] = 10**20
     save_config(doc, tmp_path / "sparse.yaml")

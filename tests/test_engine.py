@@ -636,6 +636,36 @@ def test_run_block_column():
     assert len(set(drawn)) > 1
 
 
+def chi_square(counts, probabilities):
+    expected = np.sum(counts) * np.asarray(probabilities)
+    return float(np.sum((counts - expected) ** 2 / expected))
+
+
+def test_run_draws_blocks_with_the_selector_probabilities():
+    # run() draws a window's blocks in one batched searchsorted; 30,000 rounds span 33 windows.
+    # 13.82 is the chi-square critical value at p = 0.001 with two degrees of freedom; the seed is
+    # fixed, so the test is deterministic.
+    selector = BlockSelector((0.5, 0.3, 0.2))
+    config = RunConfig(
+        family=OperatorFamily([Projection(BlockPartition((1, 1, 1)), b) for b in staircase_boxes(6)]),
+        stepsize=STEP,
+        schedule=ring_schedule(6, 2, 0.5),
+        mode="dbkm",
+        selector=selector,
+        max_rounds=30_000,
+        seed=17,
+        record_every=1,
+    )
+    assert config.max_rounds // rounds_per_window("dbkm", config.family) > 30
+    blocks = run(config).table["selected_block"]
+    assert blocks[-1] == -1
+    counts = np.bincount(blocks[:-1], minlength=3)
+    assert len(counts) == 3
+    assert chi_square(counts, selector.probabilities) < 13.82
+    # the statistic tells these draws from uniform ones
+    assert chi_square(counts, BlockSelector.uniform(3).probabilities) > 13.82
+
+
 def test_run_reference_column():
     family = mixed_family()
     ref = np.zeros(4)
@@ -1133,9 +1163,9 @@ def test_record_count_equals_the_cadence(record_every):
     assert len(record_rounds(10**8, record_every)) <= 1001
 
 
-@pytest.mark.parametrize("max_rounds", [2**58, 2**63])
+@pytest.mark.parametrize("max_rounds", [2**58, MAX_ROUND])
 def test_a_table_too_large_to_address_is_refused(max_rounds):
-    # 2**58 + 1 rows of 56 bytes pass 2**63 bytes; 2**63 + 1 rows pass numpy's largest dimension
+    # 2**58 + 1 rows of 56 bytes pass 2**63 bytes; 2**63 rows pass numpy's largest dimension
     config = RunConfig(
         family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=max_rounds, record_every=1
     )
@@ -1207,3 +1237,44 @@ def test_rounds_past_the_limit_that_overflow_raise_no_warning():
         run(config, validate=False)
     assert (exc.value.last_round, exc.value.agent, exc.value.coordinate) == (aborted, 0, 0)
     assert exc.value.last_states.tolist() == [[2.0**39]]
+
+
+def record_allocations(monkeypatch):
+    """The arrays np.empty returns from now on, in order; run() allocates its window there."""
+    made = []
+    empty = np.empty
+
+    def record(*args, **kwargs):
+        made.append(empty(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "empty", record)
+    return made
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+def test_run_outputs_share_no_memory_with_the_window(mode, monkeypatch):
+    # run() mixes into the window's slots, so the states a trace or an error hands out must be copies
+    made = record_allocations(monkeypatch)
+    finished = RunConfig(
+        family=mixed_family(), stepsize=STEP, schedule=ring_schedule(4, 2, 0.5), max_rounds=1300, seed=11,
+        snapshot_every=1, **KERNEL_MODES[mode],
+    )
+    diverging = RunConfig(
+        family=growing_family(), stepsize=PowerLawStepsize(0.05, 0.0, 1),
+        schedule=GraphSchedule([np.eye(4)], Q=1, weight_floor=0.5), max_rounds=3000,
+        init=np.full((4, 4), 10.0), snapshot_every=1, divergence_limit=1e7, **KERNEL_MODES[mode],
+    )
+    trace = run(finished)
+    with pytest.raises(DivergenceError) as exc:
+        run(diverging, validate=False)
+    rows = 1 if mode == "centralized" else 4
+    window_shape = (rounds_per_window(mode, finished.family) + 1, rows, 4)
+    windows = [a for a in made if a.shape == window_shape]
+    assert len(windows) == 2
+    for states, snapshots in ((trace.final_states, trace.snapshots), (exc.value.last_states, exc.value.trace.snapshots)):
+        assert states.shape == (rows, 4) and len(snapshots) > 1
+        for window in windows:
+            assert not np.shares_memory(states, window)
+            assert not np.shares_memory(snapshots, window)
+        assert not np.shares_memory(states, snapshots)

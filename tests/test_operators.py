@@ -23,7 +23,7 @@ from dkmsim import (
     uniform_box_sampler,
 )
 from dkmsim.errors import DimensionMismatchError, ParameterError
-from dkmsim.operators import pair_norms
+from dkmsim.operators import _clip, pair_norms
 
 from oracles import (
     fd_gradient,
@@ -497,6 +497,63 @@ def test_stacked_kind_matches_formula(kind):
             assert np.array_equal(evals[i], evaluation(op, x))
             for l in range(part.m):
                 assert np.array_equal(blocks[l][i], displacement(op, x)[part.block_slice(l)])
+
+
+# ---------------------------------------------------------------------------
+# the clip ufunc the box and Huber kinds call in place of np.clip
+
+# values that stress a clamp: NaN, both infinities, both zeros, ties with the bounds below
+CLIP_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -2.5, 1e-300, -1e300])
+# (lower, upper) pairs a Box holds: ties at +-1 and +-2.5, and lower == upper, once as a signed-zero pair
+BOX_BOUNDS = [(-1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (0.5, 0.5), (-2.5, 2.5)]
+# pairs only the bare ufunc takes: infinite, NaN and crossed bounds
+UFUNC_ONLY_BOUNDS = [(-np.inf, np.inf), (1.0, np.inf), (np.nan, 1.0), (1.0, -1.0)]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def clip_states(n_agents):
+    """(values, n_agents, 3): every CLIP_VALUES entry in every agent's every coordinate, rolled across them."""
+    return np.stack([np.roll(CLIP_VALUES, r) for r in range(3)], axis=-1)[:, None, :].repeat(n_agents, axis=1)
+
+
+def test_clip_ufunc_equals_np_clip_bit_for_bit():
+    # operators imports clip from numpy._core.umath under numpy 2 and from numpy.core.umath
+    # before it; a test run exercises only the import for the installed numpy
+    lower, upper = np.array(BOX_BOUNDS + UFUNC_ONLY_BOUNDS).T
+    stacked = clip_states(len(lower))
+    for lo, up in ((lower[:, None], upper[:, None]), (-1.0, 1.0)):
+        assert np.array_equal(bits(_clip(stacked, lo, up)), bits(np.clip(stacked, lo, up)))
+    # each strided (N, 1) block of an (N, 3) state matrix, against (N, 1) bounds cycling through the pairs
+    states = stacked[:, 0, :]
+    lo, up = (np.resize(bound, (len(states), 1)) for bound in (lower, upper))
+    for l in range(3):
+        block = states[:, l : l + 1]
+        assert not block.flags.c_contiguous
+        assert np.array_equal(bits(_clip(block, lo, up)), bits(np.clip(block, lo, up)))
+
+
+def test_box_and_huber_kinds_clamp_as_np_clip_bit_for_bit():
+    part = BlockPartition((1, 1, 1))
+    lower, upper = (np.array(bound)[:, None] for bound in zip(*BOX_BOUNDS))
+    boxes = OperatorFamily([Projection(part, Box(np.full(3, lo), np.full(3, up))) for lo, up in BOX_BOUNDS])
+    states = clip_states(boxes.n_agents)
+    clamped = np.clip(states, lower, upper)
+    assert np.array_equal(bits(boxes.evaluate_all(states)), bits(clamped))
+    assert np.array_equal(bits(boxes.displacement_all(states)), bits(clamped - states))
+    for l in range(3):
+        sub = states[..., l : l + 1]
+        assert np.array_equal(bits(boxes.displacement_block_all(l, states)), bits(np.clip(sub, lower, upper) - sub))
+
+    deltas = np.array([1.0, 0.5, 2.5, 1e-300])[:, None]
+    hubers = OperatorFamily([GradientStep(part, Huber(np.zeros(3), d), tau=0.5) for d in deltas[:, 0]])
+    states = clip_states(hubers.n_agents)
+    expected = -0.5 * np.clip(states, -deltas, deltas)
+    assert np.array_equal(bits(hubers.displacement_all(states)), bits(expected))
+    for l in range(3):
+        assert np.array_equal(bits(hubers.displacement_block_all(l, states)), bits(expected[..., l : l + 1]))
 
 
 # ---------------------------------------------------------------------------
