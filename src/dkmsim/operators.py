@@ -21,6 +21,12 @@ np.clip and ndarray.clip end in that same ufunc, so the bits are theirs,
 but each also passes through a Python wrapper that costs more per call
 than clamping a few agents' rows. The ufunc lives in numpy._core.umath
 from numpy 2 and in numpy.core.umath before it; the import picks one once.
+
+The quadratic kind multiplies with np.matvec, which makes the same per-agent
+BLAS matrix-vector call as a stacked np.matmul of x[..., None], without the
+axis it adds and drops; numpy below 2.2 has no np.matvec and runs that
+matmul. The per-agent scalars tau, delta and theta are held at the
+states' (G, n) shape, so nothing broadcasts per call.
 """
 
 from __future__ import annotations
@@ -39,6 +45,14 @@ if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
     from numpy._core.umath import clip as _clip
 else:
     from numpy.core.umath import clip as _clip
+
+
+def _stacked_matvec(matrix: NDArray[Float], x: NDArray[Float]) -> NDArray[Float]:
+    """np.matvec for numpy below 2.2: matrix (..., m, n) times x (..., n) as a stacked matmul."""
+    return np.matmul(matrix, x[..., None])[..., 0]
+
+
+_matvec = getattr(np, "matvec", _stacked_matvec)
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -237,27 +251,32 @@ class _BallStack(_Stack):
         return out
 
 
+def _per_member(values: list[float], n: int) -> NDArray[Float]:
+    """One scalar per member, repeated along a row: (G, n), the shape of the states it scales."""
+    return np.repeat(np.array(values)[:, None], n, axis=1)
+
+
 class _QuadraticStepStack(_Stack):
     def __init__(self, ops):
         self.matrix = np.stack([op.objective.matrix for op in ops])
         self.matrix_t = self.matrix.transpose(0, 2, 1)
-        self.target = np.stack([op.objective.target for op in ops])[:, :, None]
-        self.neg_tau = -np.array([op.tau for op in ops])[:, None]
+        self.target = np.stack([op.objective.target for op in ops])
+        self.neg_tau = _per_member([-op.tau for op in ops], ops[0].n)
 
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
-        # (-tau) * A^T (A x - b), never F(x) - x, so no cancellation. Stacked
-        # matmul runs the same matrix-vector product per agent as a 2-D A @ x;
-        # einsum sums in another order and moves the last ulp.
-        resid = np.matmul(self.matrix, states[..., None]) - self.target
-        return self.neg_tau * np.matmul(self.matrix_t, resid)[..., 0]
+        # (-tau) * A^T (A x - b), never F(x) - x, so no cancellation. np.matvec
+        # makes the same per-agent BLAS matrix-vector call as a 2-D A @ x (einsum
+        # sums in another order and moves the last ulp); -tau is held at (G, n).
+        resid = _matvec(self.matrix, states) - self.target
+        return self.neg_tau * _matvec(self.matrix_t, resid)
 
 
 class _HuberStepStack(_Stack):
     def __init__(self, ops):
         self.target = np.stack([op.objective.target for op in ops])
-        self.delta = np.array([op.objective.delta for op in ops])[:, None]
+        self.delta = _per_member([op.objective.delta for op in ops], ops[0].n)
         self.neg_delta = -self.delta
-        self.neg_tau = -np.array([op.tau for op in ops])[:, None]
+        self.neg_tau = _per_member([-op.tau for op in ops], ops[0].n)
 
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
         return self.neg_tau * _clip(states - self.target, self.neg_delta, self.delta)
@@ -267,7 +286,7 @@ class _AffineStack(_Stack):
     def __init__(self, ops):
         self.matrix = np.stack([op.matrix for op in ops])
         self.offset = np.stack([op.offset for op in ops])
-        self.theta = np.array([op.theta for op in ops])[:, None]
+        self.theta = _per_member([op.theta for op in ops], ops[0].n)
 
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
         # theta * (r - R x), algebraically F(x) - x without the cancellation
@@ -275,7 +294,7 @@ class _AffineStack(_Stack):
 
     def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
         rows = np.einsum("ijk,...ik->...ij", self.matrix[:, sl, :], states)
-        return self.theta * (self.offset[:, sl] - rows)
+        return self.theta[:, sl] * (self.offset[:, sl] - rows)
 
 
 class _MixedStack(_Stack):

@@ -182,7 +182,8 @@ def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
 
     Refuses a row that no run writes, naming the first fault of three passes:
       1. while reading, in file order: a row that does not parse (see
-         _unparsed_row), or a round outside 0..max_rounds, which keeps k in int64;
+         _unparsed_row), a round outside 0..max_rounds, which keeps k in int64,
+         or a round cell with a sign or a leading zero, which str() never writes;
       2. on the parsed table, the first row that breaks a rule of `checks`, and its first rule;
       3. a character outside _ROW_CHARS, in one pass over the rows' text.
     """
@@ -199,6 +200,9 @@ def _parse_rows(lines: list[str], first: int, path, fields: dict) -> np.ndarray:
             raise ConfigError(f"{path}:{line_no}: {_unparsed_row(parts, m)}") from None
         if not 0 <= row[0] <= max_rounds:
             raise ConfigError(f"{path}:{line_no}: round {row[0]} lies outside 0..{max_rounds}, the rounds a run records")
+        # str() writes a round with no sign and no leading zero; int() also reads 0100, +100 and -0
+        if k[0] in "+-0" and k != "0":
+            raise ConfigError(f"{path}:{line_no}: column k: {k!r} is not round {row[0]} as a run writes it")
         rows.append(row)
     table = np.array(rows, dtype=RECORD)
     k, alpha = table["k"], table["alpha_k"]

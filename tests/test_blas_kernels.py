@@ -4,6 +4,9 @@ OPENBLAS_CORETYPE sets the kernel for one process, so each kernel runs in a
 subprocess of its own. On a host whose default kernel is Haswell or
 Prescott, or with a numpy built without OpenBLAS (which ignores the
 variable), one pair compares a kernel with itself and cannot fail.
+
+The quadratic kind stays on BLAS, so its traces depend on the kernel; what
+must hold under each kernel is that its two matrix-vector forms agree.
 """
 
 import os
@@ -13,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # one sha256 per (preset, seed) of the table's and snapshots' bytes
 SCRIPT = """
@@ -28,22 +32,35 @@ for name in ("paper-dkm-6", "paper-dbkm-100", "dgd-huber"):
 """
 
 
-def trace_hashes(coretype):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+# test_operators' check of np.matvec against the stacked-matmul fallback, bit for bit
+MATVEC_SCRIPT = """
+from test_operators import test_matvec_equals_the_stacked_matmul_bit_for_bit
+test_matvec_equals_the_stacked_matmul_bit_for_bit()
+print("matvec ok")
+"""
+
+
+def run_under(coretype, script):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
 
 @pytest.fixture(scope="module")
 def default_hashes():
-    return trace_hashes(None)
+    return run_under(None, SCRIPT)
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_box_and_huber_traces_do_not_depend_on_the_blas_kernel(default_hashes, coretype):
     assert len(default_hashes) == 6
-    assert trace_hashes(coretype) == default_hashes
+    assert run_under(coretype, SCRIPT) == default_hashes
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_matvec_equals_the_stacked_matmul_under_the_blas_kernel(coretype):
+    assert run_under(coretype, MATVEC_SCRIPT) == ["matvec ok"]

@@ -721,6 +721,11 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         ((), _set_last_row(5, "+1"), "{trace}:112: column selected_block: block +1 is not one of 0..0"),
         ((), _set_last_row(5, "+0"), "{trace}:112: column selected_block: block +0 is not one of 0..0"),
         ((), _set_last_row(5, "00"), "{trace}:112: column selected_block: block 00 is not one of 0..0"),
+        # int() reads these four as rounds 100 and 0, but a run writes a round as str() spells it
+        ((), _set_last_row(0, "0100"), "{trace}:112: column k: '0100' is not round 100 as a run writes it"),
+        ((), _set_last_row(0, "+100"), "{trace}:112: column k: '+100' is not round 100 as a run writes it"),
+        ((), _set_row(0, 0, "00"), "{trace}:12: column k: '00' is not round 0 as a run writes it"),
+        ((), _set_row(0, 0, "-0"), "{trace}:12: column k: '-0' is not round 0 as a run writes it"),
         ((), _append_abort_marker(-7), "{trace}:113: abort marker k=-7 lies outside 1..100"),
         ((), _append_abort_marker(99999), "{trace}:113: abort marker k=99999 lies outside 1..100"),
         ((), _append_abort_marker(50), "{trace}:113: abort marker k=50 is not past the last recorded round 100"),
@@ -805,6 +810,10 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "block-with-a-plus-sign",
         "block-zero-with-a-plus-sign",
         "block-zero-with-a-leading-zero",
+        "round-with-a-leading-zero",
+        "round-with-a-plus-sign",
+        "round-zero-with-a-leading-zero",
+        "round-zero-with-a-minus-sign",
         "abort-marker-below-one",
         "abort-marker-past-max-rounds",
         "abort-marker-not-past-the-last-row",

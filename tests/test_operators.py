@@ -23,7 +23,7 @@ from dkmsim import (
     uniform_box_sampler,
 )
 from dkmsim.errors import DimensionMismatchError, ParameterError
-from dkmsim.operators import _clip, pair_norms
+from dkmsim.operators import _clip, _matvec, _stacked_matvec, pair_norms
 
 from oracles import (
     fd_gradient,
@@ -554,6 +554,40 @@ def test_box_and_huber_kinds_clamp_as_np_clip_bit_for_bit():
     assert np.array_equal(bits(hubers.displacement_all(states)), bits(expected))
     for l in range(3):
         assert np.array_equal(bits(hubers.displacement_block_all(l, states)), bits(expected[..., l : l + 1]))
+
+
+# ---------------------------------------------------------------------------
+# the matrix-vector product the quadratic kind calls in place of a stacked matmul
+
+# entries that stress a product: NaN, both infinities, both zeros, subnormals, and sums that overflow
+MATVEC_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -0.5])
+
+
+def matvec_entries(rng, shape):
+    """Standard normal entries, about a third of them replaced by MATVEC_VALUES."""
+    a = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.3
+    a[special] = rng.choice(MATVEC_VALUES, special.sum())
+    return a
+
+
+def test_matvec_equals_the_stacked_matmul_bit_for_bit():
+    # operators takes np.matvec where numpy has it (2.2 on) and _stacked_matvec below that. The
+    # fallback is a named function, so this check runs both forms under the installed numpy, and
+    # tests/test_blas_kernels.py runs it again under other BLAS kernels
+    rng = np.random.default_rng(53)
+    for G, m, n in ((1, 1, 1), (3, 4, 3), (4, 2, 5), (2, 6, 6), (8, 3, 1)):
+        for _ in range(10):
+            matrix = matvec_entries(rng, (G, m, n))
+            # the kind's matrix and its transposed view matrix_t, each against stacked and batched states
+            for mat, width in ((matrix, n), (matrix.transpose(0, 2, 1), m)):
+                for batch in ((), (2,), (3, 2)):
+                    strided = matvec_entries(rng, (*batch, G, 2 * width))[..., ::2]
+                    for x in (strided, np.ascontiguousarray(strided)):
+                        with np.errstate(all="ignore"):
+                            fast, fallback = _matvec(mat, x), _stacked_matvec(mat, x)
+                        assert fast.shape == (*batch, G, mat.shape[1])
+                        assert np.array_equal(bits(fast), bits(fallback))
 
 
 # ---------------------------------------------------------------------------
