@@ -124,8 +124,12 @@ def _load_reference_arg(text: str) -> np.ndarray:
             raise ConfigError(f"{what} does not exist")
         source = read_text(source, what)
     try:
-        reference = np.asarray(json.loads(source), dtype=np.float64)
-    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError; a JSON object is a TypeError
+        entries = np.asarray(json.loads(source), dtype=object)
+        # float64 would read true as 1.0 and "1" as 1; of the JSON values, only a number parses to an int or float
+        if bad := [entry for entry in entries.flat if type(entry) not in (int, float)]:
+            raise TypeError(f"entry {json.dumps(bad[0])} is not a number")
+        reference = entries.astype(np.float64)
+    except (ValueError, TypeError, OverflowError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{what} is not a JSON number list: {e}") from e
     if not np.all(np.isfinite(reference)):
         raise ConfigError(f"reference has non-finite entries: {reference.tolist()}")

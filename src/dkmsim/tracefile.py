@@ -6,13 +6,12 @@ A trace file holds these lines and no others, in this order:
   3. the header, RECORD's field names;
   4. the data rows, at least 12 significant digits, NaN and no-block -1 empty;
   5. for an aborted run only, `# aborted at k=<k>` as the last line.
-Snapshots go to the companion file snapshot_path_for(path), with header
-`k,agent,coord_index,value` and one line per cell; read_trace reads both.
+Snapshots go to the companion file snapshot_path_for(path): the header
+`k,agent,coord_index,value`, then _snapshot_lines. read_trace reads both.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -41,6 +40,16 @@ def _cells(column: np.ndarray) -> list[str]:
     if column.dtype.kind == "i":
         return ["" if v < 0 else str(v) for v in column.tolist()]
     return ["" if v != v else format(v, ".12g") for v in column.tolist()]
+
+
+def _snapshot_lines(rounds: np.ndarray, snapshots: np.ndarray) -> list[str]:
+    """A companion's data lines: `k,agent,coord,value` per cell, rounds then agents then coordinates increasing."""
+    return [
+        f"{k},{agent},{coord},{format(v, '.17g')}"
+        for k, state in zip(rounds.tolist(), snapshots.tolist())
+        for agent, row in enumerate(state)
+        for coord, v in enumerate(row)
+    ]
 
 
 def snapshot_path_for(trace_path) -> Path:
@@ -96,12 +105,9 @@ def write_trace(trace: Trace, path) -> None:
     except OSError as e:
         raise ConfigError(f"cannot write trace file: {e}") from e
 
-    snap_lines = [SNAPSHOT_HEADER]
-    for k, state in zip(trace.snapshot_rounds.tolist(), trace.snapshots.tolist()):
-        for agent, row in enumerate(state):
-            snap_lines += (f"{k},{agent},{coord},{format(v, '.17g')}" for coord, v in enumerate(row))
     try:
         if len(trace.snapshot_rounds):
+            snap_lines = [SNAPSHOT_HEADER, *_snapshot_lines(trace.snapshot_rounds, trace.snapshots)]
             snapshot_path_for(path).write_text("\n".join(snap_lines) + "\n")
         else:
             snapshot_path_for(path).unlink(missing_ok=True)
@@ -241,9 +247,9 @@ def read_trace(path) -> Trace:
 
     Refuses any line out of the layout above, malformed metadata and rows,
     rows no run could write (see _parse_rows), an abort marker no run writes
-    (outside 1..max_rounds, or not past the last row's round), and a
-    companion that read_snapshots refuses or that holds a round the trace
-    did not record.
+    (k not as str() spells it, outside 1..max_rounds, or not past the last
+    row's round), and a companion that read_snapshots refuses or that holds
+    a round the trace did not record.
     """
     lines = read_text(path, "trace file").splitlines()
     # the header is the first line that is not a comment; the prologue is every line before it
@@ -262,6 +268,8 @@ def read_trace(path) -> Trace:
             aborted_at = int(marker.removeprefix("# aborted at k="))
         except ValueError as e:
             raise ConfigError(f"{path}:{abort_line}: abort marker {marker!r} has no round number") from e
+        if marker != (written := f"# aborted at k={aborted_at}"):
+            raise ConfigError(f"{path}:{abort_line}: abort marker {marker!r} is not the text a run writes for it, {written!r}")
     table = _parse_rows(rows, header + 2, path, fields)
     if aborted_at is not None:
         # a run aborted at k = A diverged in round A - 1 and recorded rounds below A only
@@ -287,42 +295,38 @@ def read_trace(path) -> Trace:
 def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Parse a companion of (rows, n) states into its int64 rounds and one (rounds, rows, n) array.
 
-    The cells must come in write_trace's order: rounds increasing, and each
-    round's rows x n cells agent by agent, coordinates increasing.
+    Reads every value from the last cell of its line and each round's k from
+    the first cell of the round's first line. Refuses, in this order: the
+    first line whose value does not parse, then the first whose round does
+    not; a round that does not increase, lies below 0 or is past MAX_ROUND;
+    a non-finite value; a short last round; and the first line that is not
+    the text _snapshot_lines writes for those rounds and values.
     """
     rows, n = shape
     lines = read_text(path, "snapshot file").splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise ConfigError(f"{path}:1: expected header {SNAPSHOT_HEADER!r}")
-    cells = rows * n
-    rounds: list[int] = []
-    values: list[float] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"{path}:{line_no}: expected 4 columns, got {len(parts)}")
-        try:
-            k, agent, coord, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError as e:
-            raise ConfigError(f"{path}:{line_no}: expected three integers and a number, got {line!r}") from e
-        if min(k, agent, coord) < 0 or not math.isfinite(value):
-            raise ConfigError(f"{path}:{line_no}: negative index or non-finite value in {line!r}")
-        j = len(values) % cells
-        if j == 0:
-            if rounds and k <= rounds[-1]:
-                raise ConfigError(
-                    f"{path}:{line_no}: round {k} does not increase past {rounds[-1]}"
-                    f" (a round holds {rows} x {n} cells)"
-                )
-            if k > MAX_ROUND:
-                raise ConfigError(f"{path}:{line_no}: round {k} is past {MAX_ROUND}, the last round a table holds")
-            rounds.append(k)
-        elif k != rounds[-1]:
-            raise ConfigError(f"{path}: round {rounds[-1]} has {j} of {rows} x {n} snapshot cells")
-        if (agent, coord) != divmod(j, n):
-            want = "agent {}, coordinate {}".format(*divmod(j, n))
-            raise ConfigError(f"{path}:{line_no}: expected {want} of round {k}, got {line!r}")
-        values.append(value)
-    if len(values) % cells:
-        raise ConfigError(f"{path}: round {rounds[-1]} has {len(values) % cells} of {rows} x {n} snapshot cells")
-    return np.array(rounds, dtype=np.int64), np.array(values).reshape(len(rounds), rows, n)
+    data, cells, j = lines[1:], rows * n, 0
+    try:  # j follows the line being parsed, so that a refusal names it
+        values = np.array([float(data[j := i].rpartition(",")[2]) for i in range(len(data))])
+        rounds = [int(data[j := i].partition(",")[0]) for i in range(0, len(data), cells)]
+    except ValueError as e:
+        raise ConfigError(f"{path}:{j + 2}: {data[j]!r} does not parse: {e}") from None
+    for i, k in enumerate(rounds):
+        where = f"{path}:{i * cells + 2}: round {k}"
+        if i and k <= rounds[i - 1]:
+            raise ConfigError(f"{where} does not increase past {rounds[i - 1]} (a round holds {rows} x {n} cells)")
+        if k < 0:
+            raise ConfigError(f"{where} lies below 0, the first round a run records")
+        if k > MAX_ROUND:
+            raise ConfigError(f"{where} is past {MAX_ROUND}, the last round a table holds")
+    if not (finite := np.isfinite(values)).all():
+        j = int(finite.argmin())
+        raise ConfigError(f"{path}:{j + 2}: non-finite value in {data[j]!r}")
+    if len(data) % cells:
+        raise ConfigError(f"{path}: round {rounds[-1]} has {len(data) % cells} of {rows} x {n} snapshot cells")
+    snapshot_rounds, snapshots = np.array(rounds, dtype=np.int64), values.reshape(len(rounds), rows, n)
+    if (written := _snapshot_lines(snapshot_rounds, snapshots)) != data:
+        j = next(j for j, (line, want) in enumerate(zip(data, written)) if line != want)
+        raise ConfigError(f"{path}:{j + 2}: {data[j]!r} is not the text a run writes there, {written[j]!r}")
+    return snapshot_rounds, snapshots

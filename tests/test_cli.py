@@ -661,6 +661,28 @@ def _append_to_last_row(column, text):
     return edit
 
 
+def _set_snapshot_line(line_no, text):
+    """An edit that sets line line_no of the companion to text: round 100 of dkm6_trace starts at line 38."""
+
+    def edit(files):
+        lines = files["snap"].splitlines()
+        lines[line_no - 1] = text
+        files["snap"] = "\n".join(lines) + "\n"
+
+    return edit
+
+
+def _abort_after_round_99(k):
+    """An edit that turns the trace into one aborted at round 100: its last row and round 100's
+    snapshot are dropped, and the marker `# aborted at k=<k>` becomes line 112."""
+
+    def edit(files):
+        files["trace"] = files["trace"].rsplit("\n", 2)[0] + f"\n# aborted at k={k}\n"
+        files["snap"] = "\n".join(files["snap"].splitlines()[:-18]) + "\n"
+
+    return edit
+
+
 def _append_abort_marker(k):
     """An edit that appends `# aborted at k=<k>` to the finished 100-round trace, as its line 113."""
     return lambda files: files.update(trace=files["trace"] + f"# aborted at k={k}\n")
@@ -673,7 +695,11 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
     "options, edit, message",
     [
         (("--reference", "[1.0, 2.0]"), None, "reference has shape (2,), the trace has 3 coordinates"),
-        (REF, _swap_agent_for_word, "{snap}:5: expected three integers and a number"),
+        (
+            REF,
+            _swap_agent_for_word,
+            "{snap}:5: '0,zero,0,-4.8347236447147086' is not the text a run writes there, '0,1,0,-4.8347236447147086'",
+        ),
         (
             REF,
             lambda files: files.update(snap=files["snap"].rsplit("\n", 2)[0] + "\n"),
@@ -683,7 +709,7 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (
             REF,
             _drop_agent(5),
-            "{snap}: round 0 has 15 of 6 x 3 snapshot cells",
+            "{snap}: round 100 has 9 of 6 x 3 snapshot cells",
         ),
         (("--reference", "{dir}"), None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
         (("--reference", "[NaN, 0, 0]"), None, "reference has non-finite entries: [nan, 0.0, 0.0]"),
@@ -776,6 +802,72 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
             lambda files: (_set_row(0, 1, "0.5")(files), _set_last_row(2, "inf")(files)),
             "{trace}:12: column alpha_k: '0.5' is not the metadata's stepsize alpha_0 = 1",
         ),
+        # int() and float() read each of these six, as the cells of the line that a run writes
+        (
+            REF,
+            _set_snapshot_line(38, "100,0,0,1_0.5"),
+            "{snap}:38: '100,0,0,1_0.5' is not the text a run writes there, '100,0,0,10.5'",
+        ),
+        (
+            REF,
+            _set_snapshot_line(38, "+100,0,0,1.940664598651926"),
+            "{snap}:38: '+100,0,0,1.940664598651926' is not the text a run writes there, '100,0,0,1.940664598651926'",
+        ),
+        (
+            REF,
+            _set_snapshot_line(38, "100, 0,0,1.940664598651926"),
+            "{snap}:38: '100, 0,0,1.940664598651926' is not the text a run writes there, '100,0,0,1.940664598651926'",
+        ),
+        (
+            REF,
+            _set_snapshot_line(38, "100,00,0,1.940664598651926"),
+            "{snap}:38: '100,00,0,1.940664598651926' is not the text a run writes there, '100,0,0,1.940664598651926'",
+        ),
+        (
+            REF,
+            _set_snapshot_line(38, "100,0,0,\u0661.940664598651926"),
+            "{snap}:38: '100,0,0,\u0661.940664598651926' is not the text a run writes there, '100,0,0,1.940664598651926'",
+        ),
+        (
+            REF,
+            _set_snapshot_line(38, "100,0,0,1.9406645986519260"),
+            "{snap}:38: '100,0,0,1.9406645986519260' is not the text a run writes there, '100,0,0,1.940664598651926'",
+        ),
+        # int() reads each of these five as round 100
+        (
+            (),
+            _abort_after_round_99("+100"),
+            "{trace}:112: abort marker '# aborted at k=+100' is not the text a run writes for it, '# aborted at k=100'",
+        ),
+        (
+            (),
+            _abort_after_round_99("0100"),
+            "{trace}:112: abort marker '# aborted at k=0100' is not the text a run writes for it, '# aborted at k=100'",
+        ),
+        (
+            (),
+            _abort_after_round_99(" 100"),
+            "{trace}:112: abort marker '# aborted at k= 100' is not the text a run writes for it, '# aborted at k=100'",
+        ),
+        (
+            (),
+            _abort_after_round_99("1_00"),
+            "{trace}:112: abort marker '# aborted at k=1_00' is not the text a run writes for it, '# aborted at k=100'",
+        ),
+        (
+            (),
+            _abort_after_round_99("\u0661\u0660\u0660"),
+            "{trace}:112: abort marker '# aborted at k=\u0661\u0660\u0660' is not the text a run writes for it, '# aborted at k=100'",
+        ),
+        (("--reference", "[true, true, true]"), None, "inline reference is not a JSON number list: entry true is not a number"),
+        (("--reference", "[\"1.0\", \"1\", \"1e0\"]"), None, "inline reference is not a JSON number list: entry \"1.0\" is not a number"),
+        (("--reference", "[1.0, true, 3.0]"), None, "inline reference is not a JSON number list: entry true is not a number"),
+        (("--reference", f"[{10**400}, 1, 1]"), None, "inline reference is not a JSON number list: int too large to convert to float"),
+        (
+            ("--reference", "[" * 20000 + "]" * 20000),
+            None,
+            "inline reference is not a JSON number list: maximum recursion depth exceeded while decoding a JSON array",
+        ),
     ],
     ids=[
         "reference-length",
@@ -835,6 +927,22 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "alpha-off-the-stepsize-in-the-tenth-digit",
         "negative-norm-before-a-repeated-round",
         "off-stepsize-before-an-infinite-residual",
+        "companion-value-with-a-digit-underscore",
+        "companion-round-with-a-plus-sign",
+        "companion-agent-with-a-leading-space",
+        "companion-agent-with-a-leading-zero",
+        "companion-value-in-arabic-indic-digits",
+        "companion-value-with-a-trailing-zero",
+        "abort-marker-with-a-plus-sign",
+        "abort-marker-with-a-leading-zero",
+        "abort-marker-with-a-leading-space",
+        "abort-marker-with-a-digit-underscore",
+        "abort-marker-in-arabic-indic-digits",
+        "reference-of-bools",
+        "reference-of-strings",
+        "reference-with-a-bool",
+        "reference-past-float64",
+        "reference-nested-past-the-recursion-limit",
     ],
 )
 def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, edit, message):
@@ -849,6 +957,30 @@ def test_compare_rejects_malformed_input(capsys, dkm6_trace, tmp_path, options, 
     assert "final distance" not in out
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: " + message.format(trace=trace, snap=snapshot_path_for(trace), dir=tmp_path))
+
+
+def test_compare_reads_an_abort_marker_spelled_as_written(capsys, dkm6_trace, tmp_path):
+    # the edit that the malformed abort markers start from, with the marker a run writes
+    files = {"trace": dkm6_trace.read_text(), "snap": snapshot_path_for(dkm6_trace).read_text()}
+    _abort_after_round_99(100)(files)
+    trace = tmp_path / "t.csv"
+    trace.write_text(files["trace"])
+    snapshot_path_for(trace).write_text(files["snap"])
+    code, out, err = cli(capsys, "compare", str(trace))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == ["note: run aborted at k=100", "final round: 99"]
+
+
+@pytest.mark.parametrize("text", ["[true, true, true]", '["1.0", "1", "1e0"]', "[1, 1, false]", "[null, 1, 1]"])
+def test_compare_refuses_a_reference_file_of_non_numbers(capsys, dkm6_trace, tmp_path, text):
+    reference = tmp_path / "ref.json"
+    reference.write_text(text)
+    code, out, err = cli(capsys, "compare", str(dkm6_trace), "--reference", str(reference))
+    assert (code, out) == (EXIT_PARSE, "")
+    entry = next(e for e in json.loads(text) if type(e) not in (int, float))
+    assert err.splitlines() == [
+        f"config error: reference file {str(reference)!r} is not a JSON number list: entry {json.dumps(entry)} is not a number"
+    ]
 
 
 def test_compare_reads_the_first_out_of_range_row(capsys, dkm6_trace, tmp_path):
@@ -881,7 +1013,7 @@ def test_huge_agent_count_is_refused_at_the_companion_within_its_size(capsys, dk
         tracemalloc.stop()
     assert (code, out) == (EXIT_PARSE, "")
     assert err.splitlines() == [
-        f"config error: {snapshot_path_for(trace)}: round 0 has 18 of 1000000 x 3 snapshot cells"
+        f"config error: {snapshot_path_for(trace)}: round 0 has 54 of 1000000 x 3 snapshot cells"
     ]
     assert peak < 8 * 2**20
 

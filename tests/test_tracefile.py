@@ -1,10 +1,15 @@
 """Trace CSV writing and strict reading, including the snapshot companion."""
 
+import functools
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkmsim import (
     Affine,
@@ -263,22 +268,35 @@ def test_missing_file_rejected(tmp_path):
         read_trace(tmp_path / "absent.csv")
 
 
+# (the line added, what is wrong with it, the refusal)
+MALFORMED_SNAPSHOT_LINES = [
+    ("0,zero,0,1.5", "expected three integers and a number", "'0,zero,0,1.5' is not the text a run writes there, '0,1,1,1.5'"),
+    ("0,0,0,", "expected three integers and a number", "'0,0,0,' does not parse: could not convert string to float: ''"),
+    ("0,-1,0,1.5", "negative index or non-finite value", "'0,-1,0,1.5' is not the text a run writes there, '0,1,1,1.5'"),
+    ("0,0,0,nan", "negative index or non-finite value", "non-finite value in '0,0,0,nan'"),
+    ("1,1,1,1.5", "round 0 has 3 of 2 x 2 snapshot cells", "'1,1,1,1.5' is not the text a run writes there, '0,1,1,1.5'"),
+]
+
+
 @pytest.mark.parametrize(
     "cell, message",
-    [
-        ("0,zero,0,1.5", "expected three integers and a number"),
-        ("0,0,0,", "expected three integers and a number"),
-        ("0,-1,0,1.5", "negative index or non-finite value"),
-        ("0,0,0,nan", "negative index or non-finite value"),
-        ("1,1,1,1.5", "round 0 has 3 of 2 x 2 snapshot cells"),
-    ],
+    [pytest.param(cell, message, id=f"{cell}-{fault}") for cell, fault, message in MALFORMED_SNAPSHOT_LINES],
 )
 def test_malformed_snapshot_rejected(tmp_path, cell, message):
-    # round 0 lacks only its (agent 1, coord 1) cell; each case adds one line
+    # round 0, spelled as a run writes it, lacks only its (agent 1, coord 1) cell; each case adds line 5
     path = tmp_path / "t.snapshots.csv"
-    path.write_text("k,agent,coord_index,value\n0,0,0,1.0\n0,0,1,2.0\n0,1,0,3.0\n" + cell + "\n")
-    with pytest.raises(ConfigError, match=message):
+    path.write_text("k,agent,coord_index,value\n0,0,0,1\n0,0,1,2\n0,1,0,3\n" + cell + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"t.snapshots.csv:5: {message}")):
         read_snapshots(path, (2, 2))
+
+
+@pytest.mark.parametrize("k", [-3, -(10**20)])
+def test_snapshot_round_below_zero_rejected(tmp_path, k):
+    # every line of the round carries the same k, so only the round rule refuses it; -10**20 is past int64
+    path = tmp_path / "t.snapshots.csv"
+    path.write_text(f"k,agent,coord_index,value\n{k},0,0,1\n{k},0,1,2\n")
+    with pytest.raises(ConfigError, match=rf"t\.snapshots\.csv:2: round {k} lies below 0, the first round a run records$"):
+        read_snapshots(path, (1, 2))
 
 
 METADATA_KEYS = ("mode", "agents", "dimension", "blocks", "seed", "max_rounds", "alpha0", "gamma", "k0")
@@ -502,6 +520,44 @@ def test_trace_reads_back_as_written(kind, tmp_path):
     assert snapshot_rounds and all(k % 7 == 0 for k in snapshot_rounds[:-1])
 
 
+@functools.cache
+def _preset_config(name):
+    return build_preset(name).config
+
+
+# kind -> a short run of that kind, given its seed, max_rounds and cadences
+RUN_KINDS = {
+    "dkm": lambda **changes: run(replace(_preset_config("paper-dkm-6"), **changes)),
+    "dbkm": lambda **changes: run(replace(_preset_config("paper-dbkm-100"), **changes)),
+    "centralized": lambda **changes: run(replace(_preset_config("paper-dkm-6"), mode="centralized", **changes)),
+    # a run that diverges after about 20 rounds whatever its seed and max_rounds, so its trace ends in an abort marker
+    "diverged": lambda seed, max_rounds, **cadences: _diverged_trace(**cadences),
+}
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    max_rounds=st.integers(1, 60),
+    record_every=st.none() | st.integers(1, 9),
+    snapshot_every=st.none() | st.integers(1, 25),
+)
+def test_a_trace_read_back_writes_the_same_bytes(kind, seed, max_rounds, record_every, snapshot_every):
+    trace = RUN_KINDS[kind](seed=seed, max_rounds=max_rounds, record_every=record_every, snapshot_every=snapshot_every)
+    assert (trace.aborted_at is not None) == (kind == "diverged")
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_trace(trace, first)
+        write_trace(read_trace(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert snapshot_path_for(first).exists() == (snapshot_every is not None)
+        if snapshot_every is not None:
+            assert snapshot_path_for(second).read_bytes() == snapshot_path_for(first).read_bytes()
+        else:
+            assert not snapshot_path_for(second).exists()
+
+
 def _companion_lines(trace, tmp_path):
     path = tmp_path / "t.csv"
     write_trace(trace, path)
@@ -512,7 +568,7 @@ def test_companion_cell_out_of_order_rejected(dkm_trace, tmp_path):
     path, lines = _companion_lines(dkm_trace, tmp_path)
     lines[2], lines[3] = lines[3], lines[2]
     snapshot_path_for(path).write_text("\n".join(lines) + "\n")
-    message = r"t\.snapshots\.csv:3: expected agent 0, coordinate 1 of round 0, got '0,0,2,"
+    message = rf"t\.snapshots\.csv:3: '0,0,2,([^,']*)' is not the text a run writes there, '0,0,1,\1'$"
     with pytest.raises(ConfigError, match=message):
         read_trace(path)
 
