@@ -18,7 +18,8 @@ Float = np.float64
 class BlockPartition:
     """Contiguous partition of coordinates 0..n-1 into m blocks.
 
-    Block ``l`` (0-based) covers ``dims[l]`` consecutive coordinates.
+    Block ``l`` (0-based) covers ``dims[l]`` consecutive coordinates, indexed by ``columns[l]``:
+    a one-coordinate block's column, so that ``x[..., columns[l]]`` drops the axis, else a slice.
     """
 
     def __init__(self, dims: tuple[int, ...] | list[int]):
@@ -31,6 +32,7 @@ class BlockPartition:
         self.offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(dims))))
         self.n = self.offsets[-1]
         self.m = len(dims)
+        self.columns = tuple(o if d == 1 else slice(o, o + d) for o, d in zip(self.offsets, dims))
 
     @classmethod
     def single(cls, n: int) -> "BlockPartition":

@@ -14,26 +14,26 @@ from numpy.typing import NDArray
 
 from .blocks import Float, as_point, as_states
 from .errors import ParameterError
-from .operators import OperatorFamily
+from .operators import OperatorFamily, row_norms
 from .stepsize import PowerLawStepsize
 
 
 def consensus_residual(states) -> float:
     """max_i ||x_i - x_bar||, the worst agent's distance to the average."""
     states = as_states(states)
-    return float(np.linalg.norm(states - states.mean(axis=0), axis=-1).max())
+    return float(row_norms(states - states.mean(axis=0)).max())
 
 
 def fixed_point_residual(family: OperatorFamily, x) -> float:
     """||F(x) - x|| for the global operator F at a single point."""
-    return float(np.linalg.norm(family.global_displacement(x), axis=-1))
+    return float(row_norms(family.global_displacement(x)))
 
 
 def distance_to_reference(states, reference) -> float:
     """max_i ||x_i - x_star||, the worst agent's distance to the reference point."""
     states = as_states(states)
     reference = as_point(reference, states.shape[1])
-    return float(np.linalg.norm(states - reference, axis=-1).max())
+    return float(row_norms(states - reference).max())
 
 
 def record_residuals(
@@ -53,9 +53,9 @@ def record_residuals(
     xbar = np.add.reduce(states, axis=1) / rows
     spread = states - xbar[:, None, :]
     parts = (spread,) if reference is None else (spread, states - reference)
-    worst = np.linalg.norm(np.concatenate(parts), axis=-1).max(axis=-1)
+    worst = row_norms(np.concatenate(parts)).max(axis=-1)
     tiled = xbar[:, None, :].repeat(family.n_agents, axis=1)
-    fp = np.linalg.norm(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents, axis=-1)
+    fp = row_norms(np.add.reduce(family.displacement_all(tiled), axis=1) / family.n_agents)
     dist = np.full(K, np.nan) if reference is None else worst[K:]
     return worst[:K], fp, dist
 

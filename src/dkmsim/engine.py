@@ -12,7 +12,8 @@ The per-round update for agent i is
     x_i^{k+1} = x_hat_i + alpha_k d_i        (local step)
 
 where d_i is F_i(x_hat_i) - x_hat_i in full mode, and its drawn block
-(zeros elsewhere) in block-sampled mode. _LOCAL_STEPS holds each mode's
+(zeros elsewhere) in block-sampled mode, indexed by partition.columns: a
+flat (N,) column for a one-coordinate block. _LOCAL_STEPS holds each mode's
 local step, once: run() calls it unchecked, dkm_step / dbkm_step checked.
 """
 
@@ -109,8 +110,10 @@ def _full_step(xhat: NDArray[Float], family: OperatorFamily, alpha: float, block
 
 
 def _block_step(xhat: NDArray[Float], family: OperatorFamily, alpha: float, block: int) -> None:
-    sub = xhat[:, family.partition.block_slice(block)]
-    sub += alpha * family.displacement_block_all(block, xhat)
+    # block was drawn in range; a one-coordinate block's column is an int, and sub a flat (N,) view
+    cols = family.partition.columns[block]
+    sub = xhat[:, cols]
+    sub += alpha * family.stack.displacement_block(block, cols, xhat)
 
 
 def _centralized_step(x: NDArray[Float], family: OperatorFamily, alpha: float, block: int) -> None:
@@ -131,6 +134,7 @@ def dkm_step(states, A, family: OperatorFamily, alpha: float) -> NDArray[Float]:
 def dbkm_step(states, A, family: OperatorFamily, alpha: float, block: int) -> NDArray[Float]:
     """One block-sampled round: mix, then update only the drawn block."""
     alpha = _check_alpha(alpha)
+    family.partition.block_slice(block)  # BlockIndexError past the partition
     xhat = mix(A, states)
     _block_step(xhat, family, alpha, block)
     return xhat

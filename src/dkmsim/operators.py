@@ -12,21 +12,22 @@ works exclusively with displacements.
 
 Each kind's arithmetic is written once, over a stack of agents: a family
 evaluates one stacked group per kind, a single operator a one-member stack.
-Every Euclidean norm in the package is np.linalg.norm(x, axis=-1), a sum
-of squares along the row that calls no BLAS, so a row's norm has the same
-bits in any stack and under any BLAS kernel.
+A kind's block form takes the block's partition.columns entry, so a
+one-coordinate block runs on flat (..., G) columns, not on (..., G, 1)
+strided views. Every Euclidean norm in the package is row_norms(x), the
+bits of np.linalg.norm(x, axis=-1): a sum of squares along the row that
+calls no BLAS, so a row's norm has the same bits in any stack and under
+any BLAS kernel.
 
 The box and Huber kinds clamp with numpy's clip ufunc, called directly:
 np.clip and ndarray.clip end in that same ufunc, so the bits are theirs,
 but each also passes through a Python wrapper that costs more per call
-than clamping a few agents' rows. The ufunc lives in numpy._core.umath
-from numpy 2 and in numpy.core.umath before it; the import picks one once.
+than clamping a few agents' rows.
 
 The quadratic kind multiplies with np.matvec, which makes the same per-agent
 BLAS matrix-vector call as a stacked np.matmul of x[..., None], without the
-axis it adds and drops; numpy below 2.2 has no np.matvec and runs that
-matmul. The per-agent scalars tau, delta and theta are held at the
-states' (G, n) shape, so nothing broadcasts per call.
+axis it adds and drops. The per-agent scalars tau, delta and theta are held
+at the states' (G, n) shape, so nothing broadcasts per call.
 """
 
 from __future__ import annotations
@@ -35,28 +36,30 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 from numpy.typing import NDArray
 
 from .blocks import BlockPartition, Float, as_point, as_states
 from .errors import DimensionMismatchError, ParameterError
 from .validation import ValidationReport, Violation, failed, passed
 
-if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-    from numpy._core.umath import clip as _clip
-else:
-    from numpy.core.umath import clip as _clip
-
-
-def _stacked_matvec(matrix: NDArray[Float], x: NDArray[Float]) -> NDArray[Float]:
-    """np.matvec for numpy below 2.2: matrix (..., m, n) times x (..., n) as a stacked matmul."""
-    return np.matmul(matrix, x[..., None])[..., 0]
-
-
-_matvec = getattr(np, "matvec", _stacked_matvec)
-
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
 NONEXPANSIVE_TOL = 1e-12
+
+
+def row_norms(x: NDArray[Float]) -> NDArray[Float]:
+    """np.linalg.norm(x, axis=-1), bit for bit. numpy adds a row shorter than 8
+    left to right, so 2 to 7 squares are added a whole column at a time, in that order.
+    """
+    n = x.shape[-1]
+    if not 2 <= n < 8:
+        return np.linalg.norm(x, axis=-1)
+    sq = x * x
+    total = sq[..., 0] + sq[..., 1]
+    for c in range(2, n):
+        total += sq[..., c]
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +190,10 @@ SmoothObjective = Quadratic | Huber
 class _Stack:
     """One operator kind over G agents, parameters stacked on axis 0.
 
-    Methods map (..., G, n) states, row g for member g, to (..., G, n) or,
-    for a block, (..., G, block width); leading batch axes broadcast against
-    the (G, ...) parameters. A kind overrides evaluate or displacement, and
-    the block form where slicing first is cheaper.
+    Methods map (..., G, n) states, row g for member g, to (..., G, n) or, for
+    block l with cols = partition.columns[l], to the shape of states[..., cols];
+    batch axes broadcast against the (G, ...) parameters. A kind overrides
+    evaluate or displacement, and the block form where slicing first is cheaper.
     """
 
     def __init__(self, ops: list["LocalOperator"]):
@@ -202,8 +205,8 @@ class _Stack:
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
         return self.evaluate(states) - states
 
-    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
-        return self.displacement(states)[..., sl]
+    def displacement_block(self, l: int, cols: int | slice, states: NDArray[Float]) -> NDArray[Float]:
+        return self.displacement(states)[..., cols]
 
 
 class _IdentityStack(_Stack):
@@ -218,20 +221,19 @@ class _BoxStack(_Stack):
     def __init__(self, ops):
         self.lower = np.stack([op.target_set.lower for op in ops])
         self.upper = np.stack([op.target_set.upper for op in ops])
-        # each block's bounds, keyed by the block's first coordinate (slices are unhashable before 3.12)
-        part = ops[0].partition
-        self.block_bounds = {
-            part.offsets[l]: (self.lower[:, part.block_slice(l)], self.upper[:, part.block_slice(l)])
-            for l in range(part.m)
-        }
+        # block l's bounds, indexed by its columns as its states are, held contiguous
+        self.block_bounds = [
+            (np.ascontiguousarray(self.lower[:, cols]), np.ascontiguousarray(self.upper[:, cols]))
+            for cols in ops[0].partition.columns
+        ]
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
         return _clip(states, self.lower, self.upper)
 
-    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
+    def displacement_block(self, l: int, cols: int | slice, states: NDArray[Float]) -> NDArray[Float]:
         # clamp only needs the block's own coordinates
-        sub = states[..., sl]
-        lower, upper = self.block_bounds[sl.start]
+        sub = states[..., cols]
+        lower, upper = self.block_bounds[l]
         return _clip(sub, lower, upper) - sub
 
 
@@ -243,7 +245,7 @@ class _BallStack(_Stack):
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
         # the scaling factor depends on the whole vector, so blocks slice the full result
         d = states - self.center
-        nrm = np.linalg.norm(d, axis=-1)
+        nrm = row_norms(d)
         out = states.copy()
         far = nrm > self.radius
         member = far.nonzero()[-1]
@@ -267,8 +269,8 @@ class _QuadraticStepStack(_Stack):
         # (-tau) * A^T (A x - b), never F(x) - x, so no cancellation. np.matvec
         # makes the same per-agent BLAS matrix-vector call as a 2-D A @ x (einsum
         # sums in another order and moves the last ulp); -tau is held at (G, n).
-        resid = _matvec(self.matrix, states) - self.target
-        return self.neg_tau * _matvec(self.matrix_t, resid)
+        resid = np.matvec(self.matrix, states) - self.target
+        return self.neg_tau * np.matvec(self.matrix_t, resid)
 
 
 class _HuberStepStack(_Stack):
@@ -292,9 +294,11 @@ class _AffineStack(_Stack):
         # theta * (r - R x), algebraically F(x) - x without the cancellation
         return self.theta * (self.offset - np.einsum("ijk,...ik->...ij", self.matrix, states))
 
-    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
-        rows = np.einsum("ijk,...ik->...ij", self.matrix[:, sl, :], states)
-        return self.theta[:, sl] * (self.offset[:, sl] - rows)
+    def displacement_block(self, l: int, cols: int | slice, states: NDArray[Float]) -> NDArray[Float]:
+        # an int takes one matrix row per member; einsum drops a length-1 axis, so both specs sum alike
+        spec = "ijk,...ik->...ij" if isinstance(cols, slice) else "ik,...ik->...i"
+        rows = np.einsum(spec, self.matrix[:, cols, :], states)
+        return self.theta[:, cols] * (self.offset[:, cols] - rows)
 
 
 class _MixedStack(_Stack):
@@ -305,9 +309,11 @@ class _MixedStack(_Stack):
 
     def _scatter(self, states: NDArray[Float], apply) -> NDArray[Float]:
         parts = [(rows, apply(group, states[..., rows, :])) for rows, group in self.groups]
-        out = np.empty(states.shape[:-1] + parts[0][1].shape[-1:])
+        # members lie on the states' agent axis; a one-coordinate block's result ends there
+        out = np.empty(states.shape[:-1] + parts[0][1].shape[states.ndim - 1 :])
+        agents = (slice(None),) * (states.ndim - 2)
         for rows, part in parts:
-            out[..., rows, :] = part
+            out[(*agents, rows)] = part
         return out
 
     def evaluate(self, states: NDArray[Float]) -> NDArray[Float]:
@@ -316,8 +322,8 @@ class _MixedStack(_Stack):
     def displacement(self, states: NDArray[Float]) -> NDArray[Float]:
         return self._scatter(states, lambda group, x: group.displacement(x))
 
-    def displacement_block(self, sl: slice, states: NDArray[Float]) -> NDArray[Float]:
-        return self._scatter(states, lambda group, x: group.displacement_block(sl, x))
+    def displacement_block(self, l: int, cols: int | slice, states: NDArray[Float]) -> NDArray[Float]:
+        return self._scatter(states, lambda group, x: group.displacement_block(l, cols, x))
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +486,24 @@ class OperatorFamily:
         for i, op in enumerate(operators):
             members.setdefault(op.stack_key, []).append(i)
         self.groups = [(np.array(rows), key[0]([operators[i] for i in rows])) for key, rows in members.items()]
-        # a one-group family hands the whole state matrix to its group, with no scatter
-        self._stack = self.groups[0][1] if len(self.groups) == 1 else _MixedStack(self.groups)
+        # the stack every stacked path calls: a one-group family hands the whole state matrix to its group
+        self.stack = self.groups[0][1] if len(self.groups) == 1 else _MixedStack(self.groups)
 
     # -- stacked paths (engine hot loop; shapes validated by caller)
 
     def displacement_all(self, states: NDArray[Float]) -> NDArray[Float]:
         """Row i is F_i(states[i]) - states[i]. states is (N, n), or (..., N, n) with batch axes."""
-        return self._stack.displacement(states)
+        return self.stack.displacement(states)
 
     def displacement_block_all(self, l: int, states: NDArray[Float]) -> NDArray[Float]:
-        """Block l of each agent's displacement; (N, dims[l])."""
-        return self._stack.displacement_block(self.partition.block_slice(l), states)
+        """Block l of each agent's displacement; (N, dims[l]), a one-coordinate block's included."""
+        sl = self.partition.block_slice(l)  # BlockIndexError past the partition
+        block = self.stack.displacement_block(l, self.partition.columns[l], states)
+        return block.reshape(*states.shape[:-1], sl.stop - sl.start)
 
     def evaluate_all(self, states: NDArray[Float]) -> NDArray[Float]:
         """Row i is F_i(states[i]); batch axes as in displacement_all."""
-        return self._stack.evaluate(states)
+        return self.stack.evaluate(states)
 
     # -- global operator F = (1/N) sum_i F_i
 
@@ -549,8 +557,8 @@ def pair_norms(points: NDArray[Float], images: NDArray[Float], tol: float) -> tu
     lhs = ||F(x_p) - F(y_p)|| and rhs = ||x_p - y_p|| * (1 + tol) + tol, each
     (P, ...), equal bitwise to the same norms taken one pair at a time.
     """
-    lhs = np.linalg.norm(images[0::2] - images[1::2], axis=-1)
-    rhs = np.linalg.norm(points[0::2] - points[1::2], axis=-1) * (1.0 + tol) + tol
+    lhs = row_norms(images[0::2] - images[1::2])
+    rhs = row_norms(points[0::2] - points[1::2]) * (1.0 + tol) + tol
     return lhs, rhs
 
 
@@ -606,4 +614,4 @@ def estimate_displacement_bound(
         sampler = uniform_box_sampler(family.n)
     points = as_states(sampler(np.random.default_rng(seed), num_points), num_points, family.n)
     tiled = np.repeat(points[:, None, :], family.n_agents, axis=1)
-    return float(np.linalg.norm(family.displacement_all(tiled), axis=-1).max(initial=0.0))
+    return float(row_norms(family.displacement_all(tiled)).max(initial=0.0))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 from numpy.typing import NDArray
 
 from .blocks import BlockPartition, Float, as_point
@@ -110,7 +111,8 @@ def oracle_distance_minimizer(
     iteration converges; it stops when successive iterates differ by less
     than tol. This is gradient descent with unit step on the half-mean of
     squared distances, computed without the simulator: each iteration clips
-    x into all boxes at once and projects onto all balls at once.
+    x into all boxes at once and projects onto all balls at once. It calls
+    the ufuncs under np.clip, .mean and np.linalg.norm, for their bits without their wrappers.
     """
     if len(sets) == 0:
         raise ParameterError("need at least one set")
@@ -128,17 +130,18 @@ def oracle_distance_minimizer(
     proj = np.empty((len(sets), n))
     proj[boxes] = 0.5 * (lower + upper)
     proj[balls] = center
-    x = proj.mean(axis=0)
+    x = np.add.reduce(proj, axis=0) / len(sets)
     for _ in range(max_iters):
-        proj[boxes] = np.clip(x, lower, upper)
+        proj[boxes] = _clip(x, lower, upper)
         if len(balls):
             d = x - center
-            nrm = np.linalg.norm(d, axis=-1)
+            nrm = np.sqrt(np.add.reduce(d * d, axis=-1))
             far = nrm > radius
             proj[balls] = x
             proj[balls[far]] = center[far] + (radius[far] / nrm[far])[:, None] * d[far]
-        nxt = proj.mean(axis=0)
-        if float(np.linalg.norm(nxt - x, axis=-1)) < tol:
+        nxt = np.add.reduce(proj, axis=0) / len(sets)
+        moved = nxt - x
+        if math.sqrt(np.add.reduce(moved * moved)) < tol:
             return nxt
         x = nxt
     raise OracleError(f"mean-projection iteration did not settle within {max_iters} iterations")

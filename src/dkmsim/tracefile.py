@@ -299,8 +299,8 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
     the first cell of the round's first line. Refuses, in this order: the
     first line whose value does not parse, then the first whose round does
     not; a round that does not increase, lies below 0 or is past MAX_ROUND;
-    a non-finite value; a short last round; and the first line that is not
-    the text _snapshot_lines writes for those rounds and values.
+    a non-finite value; a short round, at the first line whose k is not its
+    round's; and the first line that is not the text _snapshot_lines writes.
     """
     rows, n = shape
     lines = read_text(path, "snapshot file").splitlines()
@@ -324,7 +324,10 @@ def read_snapshots(path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray
         j = int(finite.argmin())
         raise ConfigError(f"{path}:{j + 2}: non-finite value in {data[j]!r}")
     if len(data) % cells:
-        raise ConfigError(f"{path}: round {rounds[-1]} has {len(data) % cells} of {rows} x {n} snapshot cells")
+        heads = [line.partition(",")[0] for line in data]
+        j = next((j for j, k in enumerate(heads) if k != heads[j - j % cells]), len(data))
+        at = f":{j + 2}" if j < len(data) else ""
+        raise ConfigError(f"{path}{at}: round {rounds[j // cells]} has {j % cells} of {rows} x {n} snapshot cells")
     snapshot_rounds, snapshots = np.array(rounds, dtype=np.int64), values.reshape(len(rounds), rows, n)
     if (written := _snapshot_lines(snapshot_rounds, snapshots)) != data:
         j = next(j for j, (line, want) in enumerate(zip(data, written)) if line != want)

@@ -6,8 +6,9 @@ written out from their definitions, reachability from a dense
 boolean closure, series verdicts from dyadic block sums, spectral norms
 from power iteration, and maxima from brute-force grids. The sampled
 checks and the distance oracle, which the library evaluates on stacked
-arrays, are redone here one pair, point or set at a time, and the
-centralized iteration one global step at a time.
+arrays, are redone here one pair, point or set at a time, the
+centralized iteration one global step at a time, and block-sampled rounds
+one agent at a time.
 """
 
 from __future__ import annotations
@@ -193,6 +194,29 @@ def centralized_km(family, x0, stepsize, rounds):
         x = x + stepsize.alpha(k) * family.global_displacement(x)
         traj[k + 1] = x
     return traj
+
+
+def stacked_matvec(matrix, x):
+    """matrix (..., m, n) times x (..., n) as a stacked matmul of x[..., None], the axis dropped after."""
+    return np.matmul(matrix, x[..., None])[..., 0]
+
+
+def per_agent_block_rounds(family, matrix_at, states, alphas, blocks):
+    """States (len(blocks) + 1, N, n) of block-sampled rounds, one agent at a time.
+
+    Round k mixes with matrix_at(k), then moves each agent's block
+    l = blocks[k] by alphas[k] times LocalOperator.displacement(x_i)[block_slice(l)]:
+    the agent's whole displacement cut to the block, with no stacked block
+    form, column index or engine step.
+    """
+    trajectory = [np.array(states, dtype=float)]
+    for k, (alpha, l) in enumerate(zip(alphas, blocks)):
+        xhat = matrix_at(k) @ trajectory[-1]
+        sl = family.partition.block_slice(l)
+        for i, op in enumerate(family.operators):
+            xhat[i, sl] += alpha * op.displacement(xhat[i])[sl]
+        trajectory.append(xhat)
+    return np.array(trajectory)
 
 
 def weighted_block_norm(x, partition, probabilities):

@@ -32,7 +32,7 @@ for name in ("paper-dkm-6", "paper-dbkm-100", "dgd-huber"):
 """
 
 
-# test_operators' check of np.matvec against the stacked-matmul fallback, bit for bit
+# test_operators' check of np.matvec against the stacked matmul, bit for bit
 MATVEC_SCRIPT = """
 from test_operators import test_matvec_equals_the_stacked_matmul_bit_for_bit
 test_matvec_equals_the_stacked_matmul_bit_for_bit()

@@ -606,10 +606,13 @@ def test_compare_refuses_reference_without_snapshots(capsys, tmp_path):
     assert out.splitlines() == ["trace has no snapshot of its final round k=100; cannot apply the reference"]
 
 
-def _drop_agent(agent):
+def _drop_agent(agent, round=None):
+    """Drop the agent's cells from the companion: from every round, or from the one round given."""
+
     def edit(files):
         lines = files["snap"].splitlines()
-        files["snap"] = "\n".join(line for line in lines if line.split(",")[1] != str(agent)) + "\n"
+        kept = [line for line in lines if line.split(",")[1] != str(agent) or (round is not None and line.split(",")[0] != str(round))]
+        files["snap"] = "\n".join(kept) + "\n"
 
     return edit
 
@@ -709,8 +712,10 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         (
             REF,
             _drop_agent(5),
-            "{snap}: round 100 has 9 of 6 x 3 snapshot cells",
+            "{snap}:17: round 0 has 15 of 6 x 3 snapshot cells",
         ),
+        (REF, _drop_agent(5, round=0), "{snap}:17: round 0 has 15 of 6 x 3 snapshot cells"),
+        (REF, _drop_agent(5, round=50), "{snap}:35: round 50 has 15 of 6 x 3 snapshot cells"),
         (("--reference", "{dir}"), None, "cannot read reference file '{dir}': [Errno 21] Is a directory"),
         (("--reference", "[NaN, 0, 0]"), None, "reference has non-finite entries: [nan, 0.0, 0.0]"),
         (("--reference", "[Infinity, 0, 0]", "--max-dist", "1"), None, "reference has non-finite entries: [inf, 0.0, 0.0]"),
@@ -875,6 +880,8 @@ REF = ("--reference", "[1.0, 2.0, 3.0]")
         "missing-last-cell",
         "bad-abort-marker",
         "missing-agent",
+        "missing-agent-in-round-0",
+        "missing-agent-in-round-50",
         "directory",
         "nan-reference",
         "infinite-reference",
@@ -1013,7 +1020,7 @@ def test_huge_agent_count_is_refused_at_the_companion_within_its_size(capsys, dk
         tracemalloc.stop()
     assert (code, out) == (EXIT_PARSE, "")
     assert err.splitlines() == [
-        f"config error: {snapshot_path_for(trace)}: round 0 has 54 of 1000000 x 3 snapshot cells"
+        f"config error: {snapshot_path_for(trace)}:20: round 0 has 18 of 1000000 x 3 snapshot cells"
     ]
     assert peak < 8 * 2**20
 

@@ -59,6 +59,7 @@ from dkmsim.scenarios import build_preset
 from oracles import (
     centralized_km,
     matrix_power_states,
+    per_agent_block_rounds,
     pairwise_nonexpansive,
     pointwise_displacement_bound,
     sampled_check_lines,
@@ -221,6 +222,83 @@ def test_identity_family_ignores_drawn_block():
     states = np.array([[1.0, 2.0], [3.0, 4.0]])
     for block in (0, 1):
         assert np.array_equal(dbkm_step(states, A, family, 0.9, block), mix(A, states))
+
+
+def kind_family(kind, part, seed=0):
+    """Four agents of one kind on part, parameters drawn per agent; "mixed" is one agent of each kind."""
+    n = part.n
+    rng = np.random.default_rng(seed)
+
+    def quadratic():
+        f = Quadratic(rng.standard_normal((n + 1, n)), rng.standard_normal(n + 1))
+        return GradientStep(part, f, tau=1.0 / f.lipschitz_L)
+
+    def affine():
+        G = rng.standard_normal((n, n))
+        R = G.T @ G + 0.1 * np.eye(n)
+        return Affine(part, R, rng.standard_normal(n), theta=1.5 / float(np.linalg.eigvalsh(R)[-1]))
+
+    def box():
+        lower = rng.uniform(-3, 0, n)
+        return Projection(part, Box(lower, lower + rng.uniform(0.5, 2.0, n)))
+
+    makers = {
+        "identity": lambda: Identity(part),
+        "box": box,
+        "ball": lambda: Projection(part, Ball(rng.standard_normal(n), rng.uniform(0.5, 3.0))),
+        "quadratic": quadratic,
+        "huber": lambda: GradientStep(part, Huber(rng.standard_normal(n), rng.uniform(0.5, 2.0)), tau=1.0),
+        "affine": affine,
+    }
+    if kind == "mixed":
+        return OperatorFamily([make() for make in makers.values()])
+    return OperatorFamily([makers[kind]() for _ in range(4)])
+
+
+BLOCK_PARTITIONS = [(1, 1, 1), (1, 2), (2, 1), (3,)]
+KINDS = ["identity", "box", "ball", "quadratic", "huber", "affine", "mixed"]
+
+
+def per_agent_reference(config, trace, rounds):
+    """The per-agent oracle over the trace's first rounds, on the blocks the trace records it drew."""
+    blocks = trace.table["selected_block"][:rounds].tolist()
+    alphas = [config.stepsize.alpha(k) for k in range(rounds)]
+    return per_agent_block_rounds(config.family, config.schedule.at, initial_states(config), alphas, blocks)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims", BLOCK_PARTITIONS, ids=lambda dims: "-".join(map(str, dims)))
+def test_block_sampled_run_equals_the_per_agent_reference(dims, kind):
+    # run() steps a one-coordinate block as a flat column and wider ones as slices; the oracle
+    # takes each agent's whole displacement and cuts the block from it
+    part = BlockPartition(dims)
+    family = kind_family(kind, part, seed=len(dims))
+    config = RunConfig(
+        family=family, stepsize=STEP, schedule=ring_schedule(family.n_agents, 2, 0.5), mode="dbkm",
+        selector=BlockSelector.uniform(part.m), max_rounds=300, seed=11, record_every=1, snapshot_every=1,
+    )
+    trace = run(config, validate=False)
+    assert set(trace.table["selected_block"][:-1].tolist()) == set(range(part.m))
+    expected = per_agent_reference(config, trace, config.max_rounds)
+    assert np.array_equal(trace.snapshots.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dims", BLOCK_PARTITIONS, ids=lambda dims: "-".join(map(str, dims)))
+def test_diverging_block_sampled_run_equals_the_per_agent_reference(dims):
+    # rows of weight 1.1 outgrow the mixed family's pull; every state up to the fatal round is the oracle's
+    part = BlockPartition(dims)
+    family = kind_family("mixed", part, seed=7)
+    config = RunConfig(
+        family=family, stepsize=STEP, schedule=GraphSchedule([1.1 * ring_schedule(6, 1, 0.5).at(0)], Q=1, weight_floor=0.1),
+        mode="dbkm", selector=BlockSelector.uniform(part.m), max_rounds=5000, seed=2, record_every=1,
+        snapshot_every=1, divergence_limit=1e9,
+    )
+    with pytest.raises(DivergenceError) as exc:
+        run(config, validate=False)
+    fatal, trace = exc.value.last_round, exc.value.trace
+    expected = per_agent_reference(config, trace, fatal + 1)
+    assert np.abs(expected[: fatal + 1]).max() <= 1e9 < np.abs(expected[fatal + 1]).max()
+    assert np.array_equal(trace.snapshots.view(np.uint64), expected[: fatal + 1].view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dkmsim import (
     uniform_box_sampler,
 )
 from dkmsim.errors import DimensionMismatchError, ParameterError
-from dkmsim.operators import _clip, _matvec, _stacked_matvec, pair_norms
+from dkmsim.operators import _clip, pair_norms, row_norms
 
 from oracles import (
     fd_gradient,
@@ -34,6 +34,7 @@ from oracles import (
     power_iteration_norm,
     project,
     quadratic_value,
+    stacked_matvec,
     violation_lines,
 )
 
@@ -520,8 +521,7 @@ def clip_states(n_agents):
 
 
 def test_clip_ufunc_equals_np_clip_bit_for_bit():
-    # operators imports clip from numpy._core.umath under numpy 2 and from numpy.core.umath
-    # before it; a test run exercises only the import for the installed numpy
+    # operators imports clip from numpy._core.umath and calls it without np.clip's wrapper
     lower, upper = np.array(BOX_BOUNDS + UFUNC_ONLY_BOUNDS).T
     stacked = clip_states(len(lower))
     for lo, up in ((lower[:, None], upper[:, None]), (-1.0, 1.0)):
@@ -572,9 +572,8 @@ def matvec_entries(rng, shape):
 
 
 def test_matvec_equals_the_stacked_matmul_bit_for_bit():
-    # operators takes np.matvec where numpy has it (2.2 on) and _stacked_matvec below that. The
-    # fallback is a named function, so this check runs both forms under the installed numpy, and
-    # tests/test_blas_kernels.py runs it again under other BLAS kernels
+    # the quadratic kind calls np.matvec in place of the stacked matmul of x[..., None], which
+    # makes the same BLAS call; tests/test_blas_kernels.py runs this check again under other kernels
     rng = np.random.default_rng(53)
     for G, m, n in ((1, 1, 1), (3, 4, 3), (4, 2, 5), (2, 6, 6), (8, 3, 1)):
         for _ in range(10):
@@ -585,9 +584,58 @@ def test_matvec_equals_the_stacked_matmul_bit_for_bit():
                     strided = matvec_entries(rng, (*batch, G, 2 * width))[..., ::2]
                     for x in (strided, np.ascontiguousarray(strided)):
                         with np.errstate(all="ignore"):
-                            fast, fallback = _matvec(mat, x), _stacked_matvec(mat, x)
+                            fast, stacked = np.matvec(mat, x), stacked_matvec(mat, x)
                         assert fast.shape == (*batch, G, mat.shape[1])
-                        assert np.array_equal(bits(fast), bits(fallback))
+                        assert np.array_equal(bits(fast), bits(stacked))
+
+
+# ---------------------------------------------------------------------------
+# row_norms, which adds the squares of a row shorter than 8 a column at a time
+
+# entries that stress a sum of squares: NaN, both infinities, both zeros, subnormals and squares
+# that underflow to them, and squares that overflow alone or only once added
+NORM_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -1.5e154, 1e154])
+
+
+def norm_entries(rng, shape, values):
+    """Entries across 12 decades, about a third of them replaced by values."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    special = rng.random(shape) < 0.3
+    a[special] = rng.choice(values, special.sum())
+    return a
+
+
+def nan_as_one(a):
+    """a with every NaN spelled as np.nan.
+
+    IEEE 754 leaves the sign of a NaN result open: when a row holds NaNs of
+    both signs, numpy's add loop and its add.reduce loop keep different ones.
+    """
+    return np.where(np.isnan(a), np.nan, a)
+
+
+@pytest.mark.parametrize("nan_signs", ["positive", "both"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_norms_equal_linalg_norm_bit_for_bit(n, nan_signs):
+    # the column sums rest on numpy adding a row shorter than 8 left to right; a numpy that
+    # reorders that sum fails here instead of moving traces. With NaNs of both signs in the
+    # input, every bit but a NaN's sign must agree
+    values, same = (NORM_VALUES, np.asarray) if nan_signs == "positive" else (np.append(NORM_VALUES, -np.nan), nan_as_one)
+    rng = np.random.default_rng(70 + n)
+    for batch in ((), (1,), (6,), (100,), (4, 7), (2, 3, 5)):
+        for _ in range(20):
+            x = norm_entries(rng, (*batch, n), values)
+            layouts = [
+                x,
+                norm_entries(rng, (*batch, 2 * n), values)[..., ::2],  # strided rows
+                np.asfortranarray(x),  # the row's entries a column apart
+                np.moveaxis(norm_entries(rng, (n, *batch), values), 0, -1),  # the row along the first axis
+            ]
+            for y in layouts:
+                with np.errstate(all="ignore"):
+                    got, want = row_norms(y), np.linalg.norm(y, axis=-1)
+                assert np.shape(got) == np.shape(want) == batch
+                assert np.array_equal(bits(same(got)), bits(same(want)))
 
 
 # ---------------------------------------------------------------------------
